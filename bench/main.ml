@@ -610,104 +610,6 @@ let e15 ~full () =
     entries
 
 (* ------------------------------------------------------------------ *)
-(* E16 — parallel saturation scaling (lib/engine/parallel ablation)     *)
-(* ------------------------------------------------------------------ *)
-
-let e16 ~full () =
-  header "E16: multicore saturation scaling"
-    "not a paper claim — scaling of the parallel engine (DESIGN.md §2.10)"
-    "speedup grows with domains up to the machine's cores; outputs stay byte-identical";
-  let cores = Domain.recommended_domain_count () in
-  row "  machine: %d recommended domain(s)@.@." cores;
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let rows = ref [] in
-  (* wall-clock and allocation of one run: words allocated on the minor
-     and major heaps (Gc deltas around the run), so the "lower
-     allocation rate" claim of the interned store is checkable per
-     engine/domain row *)
-  let timed_alloc f =
-    let s0 = Gc.quick_stat () in
-    let t = measure ~repeat:1 f in
-    let s1 = Gc.quick_stat () in
-    ( t,
-      s1.Gc.minor_words -. s0.Gc.minor_words,
-      s1.Gc.major_words -. s0.Gc.major_words )
-  in
-  let bench_case ~workload ~sigma ~db ~max_level =
-    let run engine () =
-      ignore (Tgds.Chase.run ~engine ~max_level sigma db)
-    in
-    let t_seq, mw_seq, mj_seq = timed_alloc (run `Indexed) in
-    let r = Tgds.Chase.run ~engine:`Indexed ~max_level sigma db in
-    let chased = Instance.size (Tgds.Chase.instance r) in
-    let times =
-      List.map (fun n -> (n, timed_alloc (run (`Parallel n)))) domain_counts
-    in
-    rows :=
-      (workload, Instance.size db, chased, (t_seq, mw_seq, mj_seq), times)
-      :: !rows;
-    row "  %-18s %8d %10d %11.4f %9.1f" workload (Instance.size db) chased
-      t_seq (mj_seq /. 1e6);
-    List.iter (fun (_, (t, _, _)) -> row " %10.4f" t) times;
-    row "@."
-  in
-  row "  %-18s %8s %10s %11s %9s" "workload" "||D||" "chased" "indexed(s)"
-    "maj(Mw)";
-  List.iter (fun n -> row " %9d-d" n) domain_counts;
-  row "@.";
-  (* the join-heavy E15 workloads: LUBM-style ontology chases and the
-     guarded-full chain (two-atom bodies, long runs) *)
-  List.iter
-    (fun u ->
-      let sigma, db = Workload.lubm ~universities:u () in
-      bench_case ~workload:(Printf.sprintf "lubm-%d" u) ~sigma ~db ~max_level:6)
-    (if full then [ 40; 160; 640 ] else [ 40; 160 ]);
-  let gf = Workload.guarded_full_chain ~depth:4 in
-  List.iter
-    (fun n ->
-      let db = Workload.path_db ~pred:"E" n in
-      bench_case ~workload:(Printf.sprintf "full-chain-%d" n) ~sigma:gf ~db
-        ~max_level:max_int)
-    (if full then [ 800; 2000; 4000 ] else [ 800; 2000 ]);
-  let json =
-    Obs.Json.Obj
-      [
-        ("cores", Obs.Json.Int cores);
-        ( "workloads",
-          Obs.Json.List
-            (List.rev_map
-               (fun (w, d, c, (ts, mw, mj), times) ->
-                 Obs.Json.Obj
-                   [
-                     ("workload", Obs.Json.String w);
-                     ("db_facts", Obs.Json.Int d);
-                     ("chase_facts", Obs.Json.Int c);
-                     ("indexed_s", Obs.Json.Float ts);
-                     ("indexed_minor_words", Obs.Json.Float mw);
-                     ("indexed_major_words", Obs.Json.Float mj);
-                     ( "domains",
-                       Obs.Json.List
-                         (List.map
-                            (fun (n, (t, dmw, dmj)) ->
-                              Obs.Json.Obj
-                                [
-                                  ("domains", Obs.Json.Int n);
-                                  ("s", Obs.Json.Float t);
-                                  ("speedup", Obs.Json.Float (ts /. t));
-                                  ("minor_words", Obs.Json.Float dmw);
-                                  ("major_words", Obs.Json.Float dmj);
-                                ])
-                            times) );
-                   ])
-               !rows) );
-      ]
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  Obs.Json.to_channel oc json;
-  close_out oc;
-  row "@.  wrote BENCH_parallel.json@."
-
-(* ------------------------------------------------------------------ *)
 (* E17 — streaming answer enumeration vs generate-and-test              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1142,11 +1044,7 @@ let e22_serve ~workers ~requests snap =
 let e22_snapshot ~universities =
   let p = Syntax.Parser.parse (e22_program ~universities) in
   let db = Syntax.Parser.database p in
-  let r =
-    Tgds.Chase.run
-      ~engine:(`Parallel (Domain.recommended_domain_count ()))
-      ~max_level:6 p.Syntax.Parser.tgds db
-  in
+  let r = Tgds.Chase.run ~max_level:6 p.Syntax.Parser.tgds db in
   Engine.Snapshot.freeze
     ~saturated:(Tgds.Chase.saturated r)
     ~universe:(Instance.dom db) (Tgds.Chase.index r)
@@ -1622,7 +1520,7 @@ let all_experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
-    ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16); ("e17", e17);
+    ("e13", e13); ("e14", e14); ("e15", e15); ("e17", e17);
     ("e18", e18); ("e20", e20); ("e22", e22);
   ]
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repository check: formatting (when ocamlformat is available), build,
-# tests, bench smoke + regression gate, kill-and-resume, and the parallel
-# engine's determinism contract.
+# tests, bench smoke + regression gate, kill-and-resume, and the golden
+# determinism contract.
 # Run from the repository root:  sh ci/check.sh
 # Environment:
 #   BENCH_GATE=strict   make a >3x bench slowdown fatal (CI sets this;
@@ -98,7 +98,7 @@ done
 echo "== server load smoke (workers 1 vs 4, sorted transcripts identical)"
 SERVER_LOAD_REQUESTS=${SERVER_LOAD_REQUESTS:-200} sh ci/server_load.sh
 
-echo "== parallel determinism (--domains 1 vs --domains 4)"
+echo "== determinism (chase, answers and serve outputs vs goldens)"
 sh ci/determinism.sh
 
 echo "== crash recovery (WAL kill loop + torn-record truncation)"

@@ -1,12 +1,11 @@
 #!/bin/sh
-# Parallel-engine determinism check against committed golden outputs: for
-# every example program, a chase must produce byte-identical exit code,
-# stdout, checkpoint, and stats (up to the timing tail) for every engine
-# of the indexed family — `--engine parallel --domains 1/2/4/8` and
-# `--engine indexed` — *and* match the goldens under ci/golden/, so a
-# representation change in the fact store is caught as drift even when it
-# is self-consistent across engines. The checkpoint's engine field names
-# the engine family by design; it is normalised before comparison.
+# Determinism check against committed golden outputs: for every example
+# program, an indexed chase must reproduce the exit code, stdout,
+# checkpoint, and stats (up to the timing tail) pinned under ci/golden/,
+# so a representation change in the fact store is caught as drift. The
+# same holds for `answers`, `serve`, a recovered `serve`, and the serve
+# degradation-ladder transcript. The checkpoint's engine field is
+# normalised before comparison.
 #
 # Run from the repository root:    sh ci/determinism.sh
 # Refresh the goldens (after an *intentional* observable change,
@@ -22,8 +21,7 @@ CLI=_build/default/bin/guarded_cli.exe
 # non-server sources, the example programs, the committed goldens, and
 # this script — lib/server sits downstream of the frozen snapshot and
 # cannot move a chase/answers/serve byte. When none of those changed
-# since the last clean pass, the full 13-program x 5-engine sweep is a
-# no-op: skip it. DETERMINISM_FORCE=1 reruns unconditionally.
+# since the last clean pass, the 13-program sweep is a no-op: skip it. DETERMINISM_FORCE=1 reruns unconditionally.
 STAMP=_build/ci-determinism.stamp
 fingerprint() {
   {
@@ -45,10 +43,9 @@ REGEN=${GOLDEN_REGEN:-}
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# The engine family is an implementation detail of the run, not of the
-# chase state; checkpoints agree on everything else.
+# The goldens predate the engine field's single value; normalise it.
 norm_ck() {
-  sed -E 's/"engine":"(indexed|parallel)"/"engine":"FAMILY"/' "$1"
+  sed -E 's/"engine":"indexed"/"engine":"FAMILY"/' "$1"
 }
 
 # expect <got> <golden-name> <what> — byte comparison against a golden
@@ -94,14 +91,6 @@ for prog in examples/programs/*.gd; do
   for aspect in code out cut nck; do
     expect "$TMP/$base.seq.$aspect" "$base.$aspect" "$base: indexed $aspect"
   done
-  # shard-count sweep: every domain count must reproduce the golden
-  for d in 1 2 4 8; do
-    run "$base.d$d" "$prog" --engine parallel --domains "$d"
-    for aspect in code out cut nck; do
-      expect "$TMP/$base.d$d.$aspect" "$base.$aspect" \
-        "$base: parallel --domains $d $aspect"
-    done
-  done
   if [ "$(cat "$TMP/$base.seq.code")" = 0 ]; then
     compared=$((compared + 1))
   fi
@@ -112,12 +101,10 @@ done
   echo "determinism: only $compared programs chased cleanly"
   exit 1
 }
-echo "determinism: OK ($compared programs match goldens across --domains 1/2/4/8 and indexed)"
+echo "determinism: OK ($compared programs match goldens)"
 
 # Answer enumeration: the `answers` command prints a canonical sorted
-# set, so stdout and exit code must be byte-identical across the
-# parallel engine's domain counts and the sequential indexed engine —
-# and match the committed goldens.
+# set, so stdout and exit code must match the committed goldens.
 run_answers() {
   tag=$1
   file=$2
@@ -140,13 +127,6 @@ for spec in prog_eval:q prog_eval:who prog_fpt:who prog_cqs:q university:q; do
   for aspect in code out; do
     expect "$TMP/$base.seq.$aspect" "$base.$aspect" "$base: indexed $aspect"
   done
-  for d in 1 4; do
-    run_answers "$base.d$d" "$prog" "$query" --engine parallel --domains "$d"
-    for aspect in code out; do
-      expect "$TMP/$base.d$d.$aspect" "$base.$aspect" \
-        "$base: parallel --domains $d $aspect"
-    done
-  done
   if [ "$(cat "$TMP/$base.seq.code")" = 0 ]; then
     answers_ok=$((answers_ok + 1))
   fi
@@ -155,13 +135,11 @@ done
   echo "determinism: only $answers_ok answer runs completed cleanly"
   exit 1
 }
-echo "determinism: OK ($answers_ok answer sets match goldens across engines)"
+echo "determinism: OK ($answers_ok answer sets match goldens)"
 
 # Incremental maintenance: `serve` applies a mutation log to a maintained
-# store. Stdout, stats (up to the timing tail) and the checkpoint must be
-# byte-identical across the engine family and domain counts — including
-# the checkpoint, because a maintained store always checkpoints as the
-# indexed engine regardless of how the initial chase was executed.
+# store. Stdout, stats (up to the timing tail) and the checkpoint must
+# match the committed goldens.
 run_serve() {
   tag=$1
   shift
@@ -188,14 +166,7 @@ run_serve serve.seq --engine indexed
 for aspect in code out ck cut; do
   expect "$TMP/serve.seq.$aspect" "serve.$aspect" "serve: indexed $aspect"
 done
-for d in 1 4; do
-  run_serve "serve.d$d" --engine parallel --domains "$d"
-  for aspect in code out ck cut; do
-    expect "$TMP/serve.d$d.$aspect" "serve.$aspect" \
-      "serve: parallel --domains $d $aspect"
-  done
-done
-echo "determinism: OK (serve matches goldens across engines and domains)"
+echo "determinism: OK (serve matches goldens)"
 
 # A recovered store must pass the same golden sweep: crash the WAL-backed
 # serve with an injected fsync fault (torn final record), recover, and
@@ -231,10 +202,8 @@ cmp -s "$TMP/serve.rec.facts" "$TMP/serve.golden.facts" || {
 echo "determinism: OK (recovered store matches the serve goldens)"
 
 # Degradation-ladder determinism: the same fault plan and retry budget
-# must produce the identical ladder transcript on every engine — the
-# maintenance loop is always sequential indexed maintenance, so stdout
-# (including the `%% ladder:` lines) is engine-invariant and pinned as a
-# golden.
+# must reproduce the ladder transcript — stdout, including the
+# `%% ladder:` lines — pinned as a golden.
 run_serve serve.ladder.seq --engine indexed \
   --retries 2 --fault-plan point:incr.delete:1
 [ "$(cat "$TMP/serve.ladder.seq.code")" = 0 ] || {
@@ -249,15 +218,7 @@ for aspect in code out; do
   expect "$TMP/serve.ladder.seq.$aspect" "serve.ladder.$aspect" \
     "serve ladder: indexed $aspect"
 done
-for d in 1 4; do
-  run_serve "serve.ladder.d$d" --engine parallel --domains "$d" \
-    --retries 2 --fault-plan point:incr.delete:1
-  for aspect in code out; do
-    expect "$TMP/serve.ladder.d$d.$aspect" "serve.ladder.$aspect" \
-      "serve ladder: parallel --domains $d $aspect"
-  done
-done
-echo "determinism: OK (ladder transcript identical across engines)"
+echo "determinism: OK (ladder transcript matches golden)"
 
 # Record the clean pass for the short-circuit above.
 fingerprint > "$STAMP"

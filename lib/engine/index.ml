@@ -80,8 +80,7 @@ let create () =
 (* A read-only view over the same store with a private metrics registry:
    worker domains probe through readers so the shared registry is never
    written concurrently. Safe as long as nobody inserts while readers
-   are in use (the parallel engine freezes the index during the
-   collection stage). *)
+   are in use (the server reads only a frozen snapshot). *)
 let reader idx =
   let metrics = Obs.Metrics.create () in
   {

@@ -8,9 +8,8 @@ open Relational.Term
 
 type binding = Homomorphism.binding
 
-let fold ?(probe = true) ?(injective = false) ?(init = VarMap.empty) ?delta
-    atoms idx f acc =
-  if probe then Obs.Probe.hit "engine.join";
+let fold ?(injective = false) ?(init = VarMap.empty) ?delta atoms idx f acc =
+  Obs.Probe.hit "engine.join";
   let m = Index.metrics idx in
   let c_candidates = Obs.Metrics.counter m "joiner.candidates" in
   let c_backtracks = Obs.Metrics.counter m "joiner.backtracks" in
@@ -54,7 +53,7 @@ let fold ?(probe = true) ?(injective = false) ?(init = VarMap.empty) ?delta
           end)
         acc dfacts
 
-(* Compiled satisfiability: [exists ~probe:false ~init:benv] over a
+(* Compiled satisfiability: [exists ~init:benv] without the probe hit, over a
    pre-compiled atom array, for the enumerator's per-answer witness
    checks. Node-for-node identical to [fold]+[Found] — same cheapest
    -first selection (first strictly-smaller wins), same pending order
@@ -103,14 +102,14 @@ let exists_compiled idx (atoms : Index.catom array) ~benv lo n =
 
 exception Found of binding
 
-let find ?probe ?injective ?init ?delta atoms idx =
+let find ?injective ?init ?delta atoms idx =
   try
-    fold ?probe ?injective ?init ?delta atoms idx (fun b _ -> raise (Found b)) ();
+    fold ?injective ?init ?delta atoms idx (fun b _ -> raise (Found b)) ();
     None
   with Found b -> Some b
 
-let exists ?probe ?injective ?init ?delta atoms idx =
-  Option.is_some (find ?probe ?injective ?init ?delta atoms idx)
+let exists ?injective ?init ?delta atoms idx =
+  Option.is_some (find ?injective ?init ?delta atoms idx)
 
 let all ?injective ?init ?delta atoms idx =
   List.rev (fold ?injective ?init ?delta atoms idx (fun b acc -> b :: acc) [])

@@ -23,13 +23,10 @@ open Relational.Term
 
 type binding = Homomorphism.binding
 
-(** [fold ?probe ?injective ?init ?delta atoms idx f acc] — fold [f] over
+(** [fold ?injective ?init ?delta atoms idx f acc] — fold [f] over
     every homomorphism from [atoms] into the index extending [init].
-    [?probe] (default [true]) controls the ["engine.join"] {!Obs.Probe}
-    hit at entry; worker domains pass [false] because the probe hook is a
-    process-global and must only fire on the main domain. *)
+    Every call hits the ["engine.join"] {!Obs.Probe} at entry. *)
 val fold :
-  ?probe:bool ->
   ?injective:bool ->
   ?init:binding ->
   ?delta:Fact.t list ->
@@ -39,18 +36,16 @@ val fold :
   'a ->
   'a
 
-(** First homomorphism, if any. [?probe] as in {!fold} — callers issuing
-    many small satisfiability checks (e.g. {!Enumerate}'s per-answer
-    witness) pass [false] so ["engine.join"] meters joins, not answers. *)
+(** First homomorphism, if any. *)
 val find :
-  ?probe:bool -> ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
+  ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
   Atom.t list -> Index.t -> binding option
 
 val exists :
-  ?probe:bool -> ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
+  ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
   Atom.t list -> Index.t -> bool
 
-(** [exists_compiled idx atoms ~benv lo n] — [exists ~probe:false] over
+(** [exists_compiled idx atoms ~benv lo n] — {!exists} over
     the compiled segment [atoms.(lo..n)) ] with the bindings of [benv]
     as the initial assignment: is there an extension matching every
     atom of the segment? Node-for-node identical to the uncompiled

@@ -26,16 +26,6 @@ open Relational
 
 type policy = Oblivious | Restricted
 
-(** Execution strategy. [Indexed] is the sequential delta-driven loop;
-    [Parallel n] fans each pass's trigger matching out over [n] domains
-    (a {!Shard} pool reused across passes, [n - 1] spawned domains) and
-    merges the per-shard bindings back in the sequential discovery order
-    — see {!Parallel} for the determinism argument. Every observable
-    output (facts, null names, s-levels, counters, snapshots) is
-    byte-identical between [Indexed] and [Parallel n] for every [n ≥ 1];
-    only the timing histograms differ. *)
-type engine = Indexed | Parallel of int
-
 (** A TGD-shaped rule: non-empty head; head variables absent from the
     body are existential and receive fresh labelled nulls at firing. *)
 type rule = { body : Atom.t list; head : Atom.t list }
@@ -70,9 +60,7 @@ type result = {
 
 (** One trigger firing, reported to [?on_fire] as it happens — the hook
     the incremental-maintenance ledger records derivations with. Firings
-    are reported in the deterministic sequential order under every
-    engine ([Parallel n] replays trigger application on the main
-    domain). *)
+    are reported in the deterministic sequential firing order. *)
 type firing = {
   fire_rule : int;  (** index into the rule list *)
   fire_key : int * Term.const option list;
@@ -92,13 +80,9 @@ type firing = {
     Snapshot capture is pay-per-use — skipping the thunk costs nothing.
 
     [on_fire] is called once per fired trigger, in firing order, after
-    the trigger's whole head has landed in the index.
-
-    [?engine] (default [Indexed]) selects the execution strategy;
-    [Parallel n] raises [Invalid_argument] when [n < 1]. *)
+    the trigger's whole head has landed in the index. *)
 val run :
   ?policy:policy ->
-  ?engine:engine ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   ?on_pass:(level:int -> saturated:bool -> (unit -> snapshot) -> unit) ->
@@ -115,12 +99,9 @@ val run :
     per-pass trigger sets, so the final result agrees with the
     uninterrupted run on facts (up to renaming of nulls invented after
     the boundary), s-levels, trigger totals, and outcome. [policy],
-    [budget] and [rules] must match the original run; [?engine] need not
-    — snapshots are engine-agnostic, so a checkpoint taken under
-    [Parallel n] resumes under [Indexed] and vice versa. *)
+    [budget] and [rules] must match the original run. *)
 val resume :
   ?policy:policy ->
-  ?engine:engine ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   ?on_pass:(level:int -> saturated:bool -> (unit -> snapshot) -> unit) ->
@@ -129,7 +110,7 @@ val resume :
   snapshot ->
   result
 
-(** [continue ?policy ?engine … rules ~index ~level_of ~level delta] —
+(** [continue ?policy … rules ~index ~level_of ~level delta] —
     drive the semi-naive fixpoint over an {e existing, already saturated}
     store after [delta] has been added to it: pass [level + 1] enumerates
     the triggers whose body touches [delta], and the loop runs to
@@ -146,7 +127,6 @@ val resume :
     facts without invalidating their dependents. *)
 val continue :
   ?policy:policy ->
-  ?engine:engine ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   ?on_pass:(level:int -> saturated:bool -> (unit -> snapshot) -> unit) ->

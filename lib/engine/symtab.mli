@@ -6,23 +6,10 @@
     (constants and nulls) and {e predicates}.
 
     Id assignment is deterministic in the operation sequence: {!intern}
-    assigns first-seen order, and {!seed} assigns a sorted batch so the
-    resulting ids do not depend on how the batch was interleaved. Ids
-    are internal — every observable surface (output, checkpoints,
-    stats) goes through {!extern} — but determinism keeps replays and
-    cross-engine runs structurally aligned.
-
-    {2 Shard overlays}
-
-    A worker domain must never mutate the shared table. {!overlay}
-    gives a shard a private view: known symbols resolve to their base
-    ids, unknown ones get {e provisional} ids drawn from a per-shard
-    range (strictly negative, interleaved by shard index so ranges are
-    disjoint for any shard count). {!reconcile} folds the overlays'
-    new symbols back into the base table in sorted order, so the
-    canonical ids ultimately assigned are independent of both the
-    shard count and which shard first saw a symbol. Provisional ids
-    never escape an overlay except through {!overlay_extern}. *)
+    assigns first-seen order. Ids are internal — every observable
+    surface (output, checkpoints, stats) goes through {!extern} — but
+    determinism keeps replays and cross-engine runs structurally
+    aligned. *)
 
 open Relational.Term
 
@@ -47,10 +34,6 @@ val find_int : t -> const -> int
     on an id never assigned. *)
 val extern : t -> int -> const
 
-(** [seed t cs] — intern a batch in sorted order ([compare_const]),
-    so the ids assigned are independent of the order of [cs]. *)
-val seed : t -> const list -> unit
-
 val intern_pred : t -> string -> int
 val find_pred : t -> string -> int option
 
@@ -59,28 +42,3 @@ val find_pred_int : t -> string -> int
 val extern_pred : t -> int -> string
 val pred_count : t -> int
 
-(** {2 Per-shard provisional ranges} *)
-
-type overlay
-
-(** [overlay t ~shard ~shards] — a read-only view of [t] with a private
-    provisional range for shard [shard] of [shards]. *)
-val overlay : t -> shard:int -> shards:int -> overlay
-
-(** Resolve through the base table, assigning a provisional (negative)
-    id when the symbol is unknown to the base. *)
-val overlay_intern : overlay -> const -> int
-
-(** Symbols a base or provisional id stands for, from this overlay's
-    point of view. *)
-val overlay_extern : overlay -> int -> const
-
-(** Symbols this overlay assigned provisional ids to, in assignment
-    order. *)
-val overlay_news : overlay -> const list
-
-(** [reconcile t os] — intern every overlay-new symbol into the base
-    table, sorted and deduplicated first: the canonical ids are a
-    function of the {e set} of new symbols only, not of the shard
-    count or discovery order. *)
-val reconcile : t -> overlay array -> unit

@@ -56,11 +56,10 @@ type effect = {
 
 (** [create ?engine ?max_level ?obs sigma db] — chase [db] under [sigma]
     (oblivious policy), recording the derivation ledger as triggers fire.
-    [engine] selects the initial chase's execution strategy (indexed
-    family only — [`Naive] raises [Invalid_argument]); maintenance
-    itself always runs the sequential indexed loop. When [max_level]
-    cuts the chase, the store is returned {e unsaturated} and refuses
-    mutations. *)
+    The initial chase and maintenance both run the indexed loop;
+    [engine] exists for callers that name it, and [`Naive] raises
+    [Invalid_argument]. When [max_level] cuts the chase, the store is
+    returned {e unsaturated} and refuses mutations. *)
 val create :
   ?engine:Tgds.Chase.engine ->
   ?max_level:int ->

@@ -33,9 +33,9 @@ val counters : t -> (string * int) list
 
 (** [absorb ~into src] — add every counter of [src] into [into]
     (registering missing names) and merge [src]'s histograms bucket-wise
-    (counts and sums add; extrema combine pointwise). The parallel
-    engine and the query server drain shard-local registries through
-    this, in shard order, so the merged totals are reproducible. *)
+    (counts and sums add; extrema combine pointwise). The query server
+    drains its per-worker registries through this, in worker order, so
+    the merged totals are reproducible. *)
 val absorb : into:t -> t -> unit
 
 type summary = {

@@ -141,7 +141,7 @@ let all ?injective ?init atoms inst =
    each call: [ConstSet.elements] is sorted, so position [i] gets "#i+1"
    deterministically, and no state survives the call — a long-running
    process issuing many [maps_to] checks holds no growing const→var table,
-   and concurrent callers (e.g. [Parallel] engine workers) share nothing. *)
+   and concurrent callers (e.g. server worker domains) share nothing. *)
 let pattern_of_instance src =
   let consts = ConstSet.elements (Instance.dom src) in
   let tbl = List.mapi (fun i c -> (c, Printf.sprintf "#%d" (i + 1))) consts in

@@ -8,20 +8,14 @@ type t = Tgds.Chase.snapshot
 let schema = "guarded-chase-checkpoint"
 let version = 1
 
-(* The domain count of [`Parallel n] is an execution tuning knob, not
-   logical state — the parallel engine's output is byte-identical for
-   every [n] — so checkpoints record only the engine family. This keeps
-   checkpoint files byte-identical across domain counts; a loaded
-   "parallel" checkpoint resumes with the machine's recommended count. *)
-let engine_to_string = function
-  | `Indexed -> "indexed"
-  | `Naive -> "naive"
-  | `Parallel _ -> "parallel"
+let engine_to_string = function `Indexed -> "indexed" | `Naive -> "naive"
 
+(* "parallel" names the retired multicore engine, whose output was
+   byte-identical to the indexed one: checkpoints it wrote resume as
+   indexed. *)
 let engine_of_string = function
-  | "indexed" -> Ok `Indexed
+  | "indexed" | "parallel" -> Ok `Indexed
   | "naive" -> Ok `Naive
-  | "parallel" -> Ok (`Parallel (Domain.recommended_domain_count ()))
   | s -> Error (Printf.sprintf "checkpoint: unknown engine %S" s)
 
 let policy_to_string = function

@@ -6,7 +6,7 @@
 
     {v
     {"schema": "guarded-chase-checkpoint", "version": 1,
-     "engine": "indexed" | "naive" | "parallel",
+     "engine": "indexed" | "naive",
      "policy": "oblivious" | "restricted",
      "level": int, "saturated": bool, "null_count": int,
      "triggers_fired": int, "triggers_dismissed": int,
@@ -15,7 +15,9 @@
     v}
 
     Facts are sorted by (s-level, fact); a constant is a JSON string for
-    a named constant and [{"n": id}] for a labelled null. *)
+    a named constant and [{"n": id}] for a labelled null. A checkpoint
+    whose engine is ["parallel"] (written by the retired multicore
+    engine) loads as ["indexed"]. *)
 
 type t = Tgds.Chase.snapshot
 

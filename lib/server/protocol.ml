@@ -13,7 +13,7 @@ type line =
 
 let verb_str = function Answers -> "answers" | Count -> "count"
 
-(* one-line rendering for keys and error payloads: the box layout of the
+(* one-line rendering for error payloads: the box layout of the
    pretty-printers must not leak newlines into a single-line protocol *)
 let oneline s =
   String.concat " "
@@ -21,6 +21,59 @@ let oneline s =
        (fun w -> w <> "")
        (String.split_on_char ' '
           (String.map (function '\n' | '\r' | '\t' -> ' ' | c -> c) s)))
+
+(* The quarantine key, built from the AST: the verb, then each disjunct
+   with duplicate atoms dropped and variables numbered by first
+   occurrence (answer variables first), the disjuncts sorted. Renamed
+   variables, repeated atoms and reordered unions of one query share a
+   key. Names are quoted, so distinct queries never collide. *)
+let canonical_key verb q =
+  let disjunct cq =
+    let ids = Hashtbl.create 8 in
+    let var x =
+      match Hashtbl.find_opt ids x with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids x i;
+          i
+    in
+    List.iter (fun x -> ignore (var x)) (Cq.answer cq);
+    let buf = Buffer.create 64 in
+    let quoted s =
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (String.escaped s);
+      Buffer.add_char buf '"'
+    in
+    Buffer.add_string buf (string_of_int (List.length (Cq.answer cq)));
+    let seen = Hashtbl.create 8 in
+    List.iter
+      (fun a ->
+        if not (Hashtbl.mem seen a) then begin
+          Hashtbl.add seen a ();
+          Buffer.add_char buf ' ';
+          quoted (Atom.pred a);
+          Buffer.add_char buf '(';
+          List.iteri
+            (fun j t ->
+              if j > 0 then Buffer.add_char buf ',';
+              match t with
+              | Term.Var x ->
+                  Buffer.add_char buf '?';
+                  Buffer.add_string buf (string_of_int (var x))
+              | Term.Const (Term.Named s) -> quoted s
+              | Term.Const (Term.Null i) ->
+                  Buffer.add_string buf "_:n";
+                  Buffer.add_string buf (string_of_int i))
+            (Atom.args a);
+          Buffer.add_char buf ')'
+        end)
+      (Cq.atoms cq);
+    Buffer.contents buf
+  in
+  String.concat " | "
+    (verb_str verb
+    :: List.sort_uniq String.compare (List.map disjunct (Ucq.disjuncts q)))
 
 let parse_line ~id raw =
   let s = String.trim raw in
@@ -50,11 +103,7 @@ let parse_line ~id raw =
             else (
               match p.Syntax.Parser.queries with
               | [ (_, q) ] ->
-                  let key =
-                    Fmt.str "%s %s" (verb_str verb)
-                      (oneline (Fmt.str "%a" Ucq.pp q))
-                  in
-                  Request { id; verb; key; query = q }
+                  Request { id; verb; key = canonical_key verb q; query = q }
               | [] -> Malformed "no query clause in request"
               | qs ->
                   Malformed

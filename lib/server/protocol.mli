@@ -37,8 +37,10 @@ type request = {
   id : int;  (** 1-based input line number *)
   verb : verb;
   key : string;
-      (** canonical quarantine key: verb plus the parsed query rendered
-          back, so textual variants of the same query share a key *)
+      (** canonical quarantine key, built from the parsed query: the
+          verb plus the query up to variable renaming, duplicate atoms
+          and disjunct order, so alpha-equivalent variants of one query
+          share a key *)
   query : Ucq.t;
 }
 

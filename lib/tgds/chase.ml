@@ -26,7 +26,7 @@ let trigger_key i (b : Homomorphism.binding) (sigma_i : Tgd.t) =
   (i, img)
 
 type policy = Oblivious | Restricted
-type engine = [ `Naive | `Indexed | `Parallel of int ]
+type engine = [ `Naive | `Indexed ]
 
 (** Chase state at a clean pass boundary. Engine-agnostic — the facts with
     their s-levels determine everything a continuation needs under either
@@ -56,10 +56,9 @@ let to_engine_snapshot (s : snapshot) : Engine.Saturate.snapshot =
     Engine.Saturate.snap_counters = s.snap_counters;
   }
 
-let of_engine_snapshot ~engine ~policy (es : Engine.Saturate.snapshot) :
-    snapshot =
+let of_engine_snapshot ~policy (es : Engine.Saturate.snapshot) : snapshot =
   {
-    snap_engine = engine;
+    snap_engine = `Indexed;
     snap_policy = policy;
     snap_level = es.Engine.Saturate.snap_level;
     snap_saturated = es.Engine.Saturate.snap_saturated;
@@ -289,17 +288,10 @@ let engine_policy = function
   | Oblivious -> Engine.Saturate.Oblivious
   | Restricted -> Engine.Saturate.Restricted
 
-(* The saturation engine behind an indexed-family chase engine; [`Naive]
-   never reaches this. *)
-let sat_engine : engine -> Engine.Saturate.engine = function
-  | `Parallel n -> Engine.Saturate.Parallel n
-  | _ -> Engine.Saturate.Indexed
-
-let engine_on_pass ~engine ~policy on_pass =
+let engine_on_pass ~policy on_pass =
   Option.map
     (fun cb ~level ~saturated take ->
-      cb ~level ~saturated (fun () ->
-          of_engine_snapshot ~engine ~policy (take ())))
+      cb ~level ~saturated (fun () -> of_engine_snapshot ~policy (take ())))
     on_pass
 
 let of_engine_result ~span (r : Engine.Saturate.result) =
@@ -314,11 +306,10 @@ let of_engine_result ~span (r : Engine.Saturate.result) =
     span;
   }
 
-let run_indexed ~engine ~policy ~budget ~span ~on_pass ~on_fire sigma db =
+let run_indexed ~policy ~budget ~span ~on_pass ~on_fire sigma db =
   let r =
-    Engine.Saturate.run ~policy:(engine_policy policy)
-      ~engine:(sat_engine engine) ~budget ~obs:span
-      ?on_pass:(engine_on_pass ~engine ~policy on_pass)
+    Engine.Saturate.run ~policy:(engine_policy policy) ~budget ~obs:span
+      ?on_pass:(engine_on_pass ~policy on_pass)
       ?on_fire (engine_rules sigma) db
   in
   of_engine_result ~span r
@@ -338,18 +329,20 @@ let make_span obs =
   | Some parent -> Obs.Span.enter parent "chase"
   | None -> Obs.Span.root "chase"
 
-let run ?(engine = `Indexed) ?(policy = Oblivious) ?max_level ?max_facts
-    ?budget ?obs ?on_pass ?on_fire sigma db =
+(* [`Parallel _] is accepted here only for callers written against the
+   retired multicore engine; it runs the indexed loop. *)
+let run ?engine ?(policy = Oblivious) ?max_level ?max_facts ?budget ?obs
+    ?on_pass ?on_fire sigma db =
   let budget = make_budget ~max_level ~max_facts ~budget in
   let span = make_span obs in
   let r =
     match engine with
-    | `Naive ->
+    | Some `Naive ->
         if on_fire <> None then
           invalid_arg "Chase.run: ?on_fire requires an indexed engine";
         run_naive ~policy ~budget ~span ~on_pass sigma db
-    | (`Indexed | `Parallel _) as e ->
-        run_indexed ~engine:e ~policy ~budget ~span ~on_pass ~on_fire sigma db
+    | None | Some (`Indexed | `Parallel _) ->
+        run_indexed ~policy ~budget ~span ~on_pass ~on_fire sigma db
   in
   Obs.Span.exit span;
   r
@@ -371,12 +364,12 @@ let resume ?engine ?max_level ?max_facts ?budget ?obs ?on_pass ?on_fire sigma
         if on_fire <> None then
           invalid_arg "Chase.resume: ?on_fire requires an indexed engine";
         resume_naive ~budget ~span ~on_pass sigma s
-    | (`Indexed | `Parallel _) as e ->
+    | `Indexed ->
         of_engine_result ~span
           (Engine.Saturate.resume
              ~policy:(engine_policy s.snap_policy)
-             ~engine:(sat_engine e) ~budget ~obs:span
-             ?on_pass:(engine_on_pass ~engine:e ~policy:s.snap_policy on_pass)
+             ~budget ~obs:span
+             ?on_pass:(engine_on_pass ~policy:s.snap_policy on_pass)
              ?on_fire (engine_rules sigma) (to_engine_snapshot s))
   in
   Obs.Span.exit span;

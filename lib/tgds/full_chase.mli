@@ -5,11 +5,10 @@ open Relational
 (** [run ?engine ?budget ?obs sigma db] — the finite chase together with
     the run's outcome ([Partial _] when the budget cut it); raises
     [Invalid_argument] on non-full TGDs. [`Indexed] (default) runs the
-    semi-naive engine; [`Parallel n] the same engine with matching fanned
-    out over [n] domains (identical output); [`Naive] the original
-    re-enumerating loop (its rounds count as budget levels). *)
+    semi-naive engine; [`Naive] the original re-enumerating loop (its
+    rounds count as budget levels). *)
 val run :
-  ?engine:[ `Naive | `Indexed | `Parallel of int ] ->
+  ?engine:[ `Naive | `Indexed ] ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   Tgd.t list ->
@@ -18,7 +17,7 @@ val run :
 
 (** {!run} without the outcome. *)
 val saturate :
-  ?engine:[ `Naive | `Indexed | `Parallel of int ] ->
+  ?engine:[ `Naive | `Indexed ] ->
   ?budget:Obs.Budget.t ->
   ?obs:Obs.Span.t ->
   Tgd.t list ->

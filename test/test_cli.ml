@@ -325,59 +325,6 @@ let test_fault_kill_and_resume () =
   Alcotest.(check string) "resumed stats agree with uninterrupted run"
     (prefix base) (prefix resumed)
 
-(* The parallel engine's determinism contract, end to end: for any
-   domain count the CLI must print the same instance bytes, write the
-   same checkpoint file, and report the same stats as `--domains 1` —
-   and the same stdout/stats as the sequential indexed engine — up to
-   the timing tail (histograms + span, cut off below). *)
-let test_parallel_determinism () =
-  let cut s =
-    let marker = {|,"histograms":|} in
-    let n = String.length s and m = String.length marker in
-    let rec find i =
-      if i + m > n then s
-      else if String.sub s i m = marker then String.sub s 0 i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let slurp path =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let budget = [ "--max-level"; "4"; "--budget-facts"; "200" ] in
-  List.iter
-    (fun name ->
-      let run engine_flags =
-        let ck = Filename.temp_file "guarded_ck" ".json" in
-        let st = Filename.temp_file "guarded_stats" ".json" in
-        let status, out, err =
-          run_cli
-            ([ "chase"; prog name ] @ budget @ engine_flags
-            @ [ "--checkpoint"; ck; "--stats"; st ])
-        in
-        let cks = slurp ck and sts = slurp st in
-        Sys.remove ck;
-        Sys.remove st;
-        check
-          (Fmt.str "%s %s exits 0 (err=%S)" name
-             (String.concat " " engine_flags)
-             err)
-          true (status = 0);
-        (out, cks, cut sts)
-      in
-      let o1, c1, t1 = run [ "--domains"; "1" ] in
-      let o4, c4, t4 = run [ "--domains"; "4" ] in
-      let oi, _, ti = run [ "--engine"; "indexed" ] in
-      Alcotest.(check string) (name ^ ": stdout identical across domains") o1 o4;
-      Alcotest.(check string) (name ^ ": checkpoint identical across domains") c1 c4;
-      Alcotest.(check string) (name ^ ": stats identical across domains") t1 t4;
-      Alcotest.(check string) (name ^ ": stdout matches indexed engine") oi o1;
-      Alcotest.(check string) (name ^ ": stats match indexed engine") ti t1)
-    [ "prog_chase.gd"; "prog_budget.gd"; "prog_cqs.gd"; "university.gd" ]
-
 (* serve: apply the committed mutation log to university.gd; the final
    instance is the fresh chase of the final base, and every maintenance
    phase shows up in the per-mutation trace. *)
@@ -504,9 +451,9 @@ let test_serve_stats_golden () =
           | _ -> Alcotest.fail "serve span has no children")
       | None -> Alcotest.fail "span missing")
 
-(* serve determinism end to end: identical stdout and checkpoint bytes
-   across the engine family and domain counts (cf. the chase variant
-   above) — the maintained store must not leak engine choice. *)
+(* serve determinism end to end: two processes — the default run and an
+   explicit `--engine indexed` — print identical stdout and write
+   identical checkpoint bytes. *)
 let test_serve_determinism () =
   let slurp path =
     let ic = open_in_bin path in
@@ -528,13 +475,10 @@ let test_serve_determinism () =
       true (status = 0);
     (out, cks)
   in
-  let o1, c1 = run [ "--domains"; "1" ] in
-  let o4, c4 = run [ "--domains"; "4" ] in
+  let od, cd = run [] in
   let oi, ci = run [ "--engine"; "indexed" ] in
-  Alcotest.(check string) "stdout identical across domains" o1 o4;
-  Alcotest.(check string) "checkpoint identical across domains" c1 c4;
-  Alcotest.(check string) "stdout matches indexed engine" oi o1;
-  Alcotest.(check string) "checkpoint matches indexed engine" ci c1
+  Alcotest.(check string) "stdout matches indexed engine" oi od;
+  Alcotest.(check string) "checkpoint matches indexed engine" ci cd
 
 (* A serve checkpoint of the maintained store resumes under `chase` as a
    no-op continuation of a fresh chase of the final base. *)
@@ -943,8 +887,6 @@ let () =
           Alcotest.test_case "serve determinism" `Quick test_serve_determinism;
           Alcotest.test_case "serve checkpoint resumes" `Quick
             test_serve_checkpoint_resumes;
-          Alcotest.test_case "parallel engine determinism" `Quick
-            test_parallel_determinism;
           Alcotest.test_case "fault kill and resume" `Quick
             test_fault_kill_and_resume;
           Alcotest.test_case "fault recovery note" `Quick

@@ -8,7 +8,9 @@
    columnar store swap:
 
    - answer sets (rendered tuples, outcome, count) are byte-identical
-     across {Indexed, Parallel 1, Parallel 2, Parallel 4};
+     for every engine tag of the [family]: the indexed engine, and the
+     [`Parallel n] tag that [Chase.run] still accepts from callers of
+     the retired multicore engine and runs as indexed;
    - budgeted runs return the same Partial *prefix*: the emission order
      of the search is part of the contract, because a served reply
      renders whatever prefix the budget left;
@@ -84,7 +86,6 @@ let family = [ `Indexed; `Parallel 1; `Parallel 2; `Parallel 4 ]
 let engine_name = function
   | `Indexed -> "indexed"
   | `Parallel n -> Fmt.str "parallel:%d" n
-  | `Naive -> "naive"
 
 (* ------------------------------------------------------------------ *)
 (* Goldens: pre-interning enumerator output (PR 9 tree). Regenerate     *)

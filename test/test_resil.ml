@@ -23,7 +23,7 @@ let fact = Generators.fact
 let tgd = Generators.tgd
 
 (* Result comparison up to null renaming lives in Generators (shared
-   with the parallel-engine suite). *)
+   with the store suite). *)
 let results_equivalent = Generators.results_equivalent
 
 (* ------------------------------------------------------------------ *)
@@ -116,13 +116,9 @@ let resume_equiv (sigma, db, engine, policy, pick, cross) =
   let snaps = Array.of_list (List.rev !snaps) in
   let s = snaps.(pick mod Array.length snaps) in
   let resume_engine =
-    (* cross-engine resume covers every rung of the supervisor's
-       degradation ladder, plus escalation back up to parallel *)
-    if cross then
-      match engine with
-      | `Indexed -> `Naive
-      | `Naive -> `Parallel 2
-      | `Parallel _ -> `Indexed
+    (* cross-engine resume covers the supervisor's degradation ladder
+       and the way back up *)
+    if cross then match engine with `Indexed -> `Naive | `Naive -> `Indexed
     else engine
   in
   let r =
@@ -205,7 +201,7 @@ let unit_sigma =
 
 let unit_db = Instance.of_facts [ fact "A" [ "a" ] ]
 
-let test_supervisor_degrades () =
+let test_supervisor_degrades ~retries () =
   Term.reset_nulls ();
   let base =
     Chase.run ~engine:`Indexed ~budget:(Generators.resil_budget ()) unit_sigma
@@ -215,20 +211,17 @@ let test_supervisor_degrades () =
   (* every indexed attempt dies at its first pass; the naive engine never
      hits engine.* probes, so the degraded attempt completes *)
   let plan =
-    [
-      Resil.Fault.At_point ("engine.pass", 1);
-      Resil.Fault.At_point ("engine.pass", 1);
-      Resil.Fault.At_point ("engine.pass", 1);
-    ]
+    List.init (retries + 1) (fun _ -> Resil.Fault.At_point ("engine.pass", 1))
   in
   match
     Resil.Supervisor.run ~engine:`Indexed
-      ~budget:(Generators.resil_budget ()) ~retries:2
+      ~budget:(Generators.resil_budget ()) ~retries
       ~sleep:(fun _ -> ())
       ~fault_plan:plan unit_sigma unit_db
   with
   | Resil.Supervisor.Degraded (r, log) ->
-      check_int "three failed attempts" 3 (List.length log);
+      check_int "one failed attempt per try on the indexed rung" (retries + 1)
+        (List.length log);
       List.iter
         (fun a ->
           check "failed attempts ran on the indexed engine" true
@@ -307,6 +300,201 @@ let test_supervisor_checkpoints_to_disk () =
       | Ok s ->
           check "final checkpoint is at the run's last boundary" true
             (s.Chase.snap_level > 0))
+
+(* ------------------------------------------------------------------ *)
+(* Crash under one engine, resume under the other                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Kill a run mid-flight at its third pass (each engine has its own pass
+   probe), keep its last clean checkpoint, and resume it under
+   [resume_engine]: the result must be equivalent to the uninterrupted
+   run. *)
+let crash_and_resume ~crash_engine ~resume_engine () =
+  let point =
+    match crash_engine with `Indexed -> "engine.pass" | `Naive -> "chase.pass"
+  in
+  Term.reset_nulls ();
+  let full =
+    Chase.run ~engine:crash_engine ~budget:(Generators.resil_budget ())
+      unit_sigma unit_db
+  in
+  Term.reset_nulls ();
+  let last = ref None in
+  (match
+     Resil.Fault.with_trigger
+       (Some (Resil.Fault.At_point (point, 3)))
+       (fun () ->
+         Chase.run ~engine:crash_engine ~budget:(Generators.resil_budget ())
+           ~on_pass:(fun ~level:_ ~saturated:_ take -> last := Some (take ()))
+           unit_sigma unit_db)
+   with
+  | _ -> Alcotest.fail "expected the injected fault to kill the run"
+  | exception Resil.Fault.Injected _ -> ());
+  let s =
+    match !last with
+    | Some s -> s
+    | None -> Alcotest.fail "no clean boundary before the injected fault"
+  in
+  check "snapshot records the engine it was taken under" true
+    (s.Chase.snap_engine = crash_engine);
+  let r =
+    Chase.resume ~engine:resume_engine ~budget:(Generators.resil_budget ())
+      unit_sigma s
+  in
+  check
+    (Fmt.str "crash under %s, resume under %s ≍ uninterrupted"
+       (Generators.engine_to_string crash_engine)
+       (Generators.engine_to_string resume_engine))
+    true
+    (results_equivalent full r)
+
+(* A checkpoint written by the retired multicore engine, verbatim: the
+   last clean boundary of a two-domain run of [unit_sigma] killed at
+   its third pass. It must load as indexed, match the checkpoint the
+   indexed engine writes at the same boundary, and resume to the same
+   facts (null ids included) and stats as an uninterrupted indexed run. *)
+let legacy_parallel_checkpoint =
+  {|{"schema":"guarded-chase-checkpoint","version":1,"engine":"parallel","policy":"oblivious","level":2,"saturated":false,"null_count":1,"triggers_fired":2,"triggers_dismissed":0,"counters":{"index.duplicates":0,"index.inserts":3,"index.probes":0,"index.removes":0,"joiner.backtracks":0,"joiner.candidates":2},"facts":[{"p":"A","l":0,"a":["a"]},{"p":"S","l":1,"a":["a",{"n":1}]},{"p":"A","l":2,"a":[{"n":1}]}]}|}
+
+let test_legacy_parallel_checkpoint () =
+  let s =
+    match
+      Result.bind
+        (Obs.Json.parse legacy_parallel_checkpoint)
+        Resil.Checkpoint.of_json
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "legacy checkpoint unreadable: %s" e
+  in
+  check "\"parallel\" loads as indexed" true (s.Chase.snap_engine = `Indexed);
+  let indexed_ck =
+    List.nth
+      (Generators.chase_snapshots ~engine:`Indexed ~policy:Chase.Oblivious
+         unit_sigma unit_db)
+      1
+  in
+  Alcotest.(check string)
+    "same boundary as the indexed engine's checkpoint"
+    (Obs.Json.to_string (Resil.Checkpoint.to_json indexed_ck))
+    (Obs.Json.to_string (Resil.Checkpoint.to_json s));
+  let observe r =
+    ( List.sort Stdlib.compare (Generators.facts_levels r),
+      Generators.cut_at_histograms
+        (Obs.Json.to_string (Obs.Report.to_json (Chase.report r))) )
+  in
+  Term.reset_nulls ();
+  let full =
+    Chase.run ~engine:`Indexed ~budget:(Generators.resil_budget ()) unit_sigma
+      unit_db
+  in
+  let resumed =
+    Chase.resume ~budget:(Generators.resil_budget ()) unit_sigma s
+  in
+  check "resumed ≡ uninterrupted indexed run (facts, nulls, stats)" true
+    (observe resumed = observe full)
+
+(* ------------------------------------------------------------------ *)
+(* The retired multicore engine's [`Parallel n] tag                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Chase.run] still accepts [`Parallel n] from callers written against
+   the retired multicore engine and runs the indexed loop, so whatever a
+   caller observes under that tag — facts with null ids and s-levels,
+   every clean-boundary checkpoint, the stats report up to its timing
+   tail — is byte-identical to [`Indexed] for every n. *)
+let legacy_observe ~engine ~policy sigma db =
+  Term.reset_nulls ();
+  let r =
+    Chase.run ~engine ~policy ~budget:(Generators.resil_budget ()) sigma db
+  in
+  let stats =
+    Obs.Json.to_string (Obs.Report.to_json (Chase.report ~name:"par" r))
+  in
+  let trace =
+    Generators.chase_snapshots ~engine ~policy sigma db
+    |> List.map (fun s -> Obs.Json.to_string (Resil.Checkpoint.to_json s))
+  in
+  ( List.sort Stdlib.compare (Generators.facts_levels r),
+    Chase.saturated r,
+    Chase.max_level r,
+    Generators.cut_at_histograms stats,
+    trace )
+
+let arb_legacy_case =
+  QCheck.make
+    ~print:(fun (sigma, db, policy) ->
+      Fmt.str "%s policy=%s"
+        (Generators.print_sigma_db (sigma, db))
+        (match policy with
+        | Chase.Oblivious -> "oblivious"
+        | Chase.Restricted -> "restricted"))
+    QCheck.Gen.(
+      let* sigma = Generators.gen_sigma
+      and* db = Generators.gen_db
+      and* policy = Generators.gen_policy in
+      return (sigma, db, policy))
+
+let prop_parallel_byte_identical =
+  QCheck.Test.make
+    ~name:"Parallel n ≡ Indexed byte-for-byte: facts, nulls, snapshots, stats"
+    ~count:60 arb_legacy_case (fun (sigma, db, policy) ->
+      let base = legacy_observe ~engine:`Indexed ~policy sigma db in
+      List.for_all
+        (fun n -> legacy_observe ~engine:(`Parallel n) ~policy sigma db = base)
+        [ 1; 2; 4 ])
+
+let prop_parallel_naive_equiv =
+  QCheck.Test.make ~name:"Parallel ≍ Naive up to null renaming" ~count:60
+    arb_legacy_case (fun (sigma, db, policy) ->
+      Term.reset_nulls ();
+      let naive =
+        Chase.run ~engine:`Naive ~policy ~budget:(Generators.resil_budget ())
+          sigma db
+      in
+      Term.reset_nulls ();
+      let par =
+        Chase.run ~engine:(`Parallel 2) ~policy
+          ~budget:(Generators.resil_budget ()) sigma db
+      in
+      results_equivalent naive par)
+
+(* The checkpoint encoding never carried a domain count: runs under the
+   legacy tag with one and with four domains write byte-identical
+   checkpoints, recorded as indexed, and every one of them, relabelled
+   "parallel" as the multicore engine wrote it, loads back unchanged. *)
+let test_checkpoint_domain_agnostic () =
+  let trace n =
+    Generators.chase_snapshots ~engine:(`Parallel n) ~policy:Chase.Oblivious
+      unit_sigma unit_db
+    |> List.map (fun s -> Obs.Json.to_string (Resil.Checkpoint.to_json s))
+  in
+  let t1 = trace 1 and t4 = trace 4 in
+  check "checkpoints byte-identical across domain counts" true (t1 = t4);
+  check "several clean boundaries" true (List.length t1 > 1);
+  let indexed_field = {|"engine":"indexed"|} in
+  let relabel s =
+    let m = String.length indexed_field in
+    let rec find i =
+      if i + m > String.length s then
+        Alcotest.failf "no indexed engine field in %s" s
+      else if String.sub s i m = indexed_field then
+        String.sub s 0 i ^ {|"engine":"parallel"|}
+        ^ String.sub s (i + m) (String.length s - i - m)
+      else find (i + 1)
+    in
+    find 0
+  in
+  List.iter
+    (fun ck ->
+      match
+        Result.bind (Obs.Json.parse (relabel ck)) Resil.Checkpoint.of_json
+      with
+      | Error e -> Alcotest.failf "checkpoint unreadable: %s" e
+      | Ok s ->
+          Alcotest.(check string)
+            "\"parallel\" checkpoint loads as the indexed one" ck
+            (Obs.Json.to_string (Resil.Checkpoint.to_json s)))
+    t1
 
 (* ------------------------------------------------------------------ *)
 (* Fault plans                                                          *)
@@ -758,6 +946,8 @@ let qcheck_tests =
       prop_resume_equiv;
       prop_supervised_equiv;
       prop_fault_plan_roundtrip;
+      prop_parallel_byte_identical;
+      prop_parallel_naive_equiv;
     ]
 
 let () =
@@ -770,13 +960,23 @@ let () =
           Alcotest.test_case "checkpoint schema validation" `Quick
             test_checkpoint_rejects_bad_schema;
           Alcotest.test_case "supervisor degrades to naive" `Quick
-            test_supervisor_degrades;
+            (test_supervisor_degrades ~retries:2);
           Alcotest.test_case "supervisor failure is a typed outcome" `Quick
             test_supervisor_failed_is_typed;
           Alcotest.test_case "supervisor backoff sequence" `Quick
             test_supervisor_backoff_sequence;
           Alcotest.test_case "supervisor persists checkpoints" `Quick
             test_supervisor_checkpoints_to_disk;
+          Alcotest.test_case "supervisor degradation ladder" `Quick
+            (test_supervisor_degrades ~retries:0);
+          Alcotest.test_case "crash indexed, resume naive" `Quick
+            (crash_and_resume ~crash_engine:`Indexed ~resume_engine:`Naive);
+          Alcotest.test_case "crash naive, resume indexed" `Quick
+            (crash_and_resume ~crash_engine:`Naive ~resume_engine:`Indexed);
+          Alcotest.test_case "crash parallel, resume indexed" `Quick
+            test_legacy_parallel_checkpoint;
+          Alcotest.test_case "checkpoints are domain-count agnostic" `Quick
+            test_checkpoint_domain_agnostic;
           Alcotest.test_case "fault plan parsing" `Quick test_fault_parse;
           Alcotest.test_case "fault arming is deterministic" `Quick
             test_fault_arm_determinism;

@@ -51,7 +51,27 @@ let test_parse_canonical_key () =
     b.Server.Protocol.key;
   let c = parse_request "count q(X) :- prof(X), teaches(X,C)." in
   check "verb is part of the key" true
-    (a.Server.Protocol.key <> c.Server.Protocol.key)
+    (a.Server.Protocol.key <> c.Server.Protocol.key);
+  (* the key is structural: renamed variables, a repeated atom and a
+     reordered union all collapse, while a different variable pattern,
+     answer order or constant does not *)
+  let key s = (parse_request s).Server.Protocol.key in
+  check_str "alpha-renamed query shares the key"
+    (key "answers q(X) :- prof(X).")
+    (key "answers r(Y) :- prof(Y).");
+  check_str "duplicate atom dropped"
+    (key "answers q(X) :- prof(X), teaches(X,C).")
+    (key "answers q(Z) :- prof(Z), teaches(Z,D), prof(Z).");
+  check_str "disjuncts sorted"
+    (key "answers q(X) :- prof(X). q(X) :- student(X).")
+    (key "answers q(Y) :- student(Y). q(X) :- prof(X).");
+  check "variable pattern is kept" true
+    (key "answers q() :- teaches(X,X)." <> key "answers q() :- teaches(X,Y).");
+  check "answer order is kept" true
+    (key "answers q(X,Y) :- teaches(X,Y)."
+    <> key "answers q(Y,X) :- teaches(X,Y).");
+  check "constants are kept" true
+    (key "answers q() :- prof(ada)." <> key "answers q() :- prof(bob).")
 
 let malformed s =
   match Server.Protocol.parse_line ~id:1 s with
@@ -314,6 +334,27 @@ let test_daemon_quarantine () =
         s.Obs.Metrics.count
   | None -> Alcotest.fail "server.request_s histogram missing"
 
+(* a renamed copy of a poison query is the same query: once the original
+   is quarantined, its alpha-variant is refused unevaluated too *)
+let test_daemon_quarantine_alpha () =
+  let snap = snapshot program in
+  let plan =
+    match Resil.Fault.parse "point:engine.answer:1" with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "fault plan: %s" e
+  in
+  let summary, t =
+    run_daemon ~fault_plan:plan snap
+      [
+        "answers q(X) :- prof(X), teaches(X,C).";
+        "answers r(Y) :- prof(Y), teaches(Y,D), prof(Y).";
+      ]
+  in
+  check "first hit faults" true (contains t "1 error injected fault");
+  check "alpha-renamed twin is quarantined" true
+    (List.mem "2 quarantined" (transcript_lines t));
+  check_int "quarantined counted" 1 summary.Server.Daemon.quarantined
+
 let test_daemon_rejects_concurrent_faults () =
   let snap = snapshot program in
   let plan =
@@ -461,6 +502,8 @@ let () =
           Alcotest.test_case "unsaturated store serves partial" `Quick
             test_daemon_unsaturated_is_partial;
           Alcotest.test_case "quarantine" `Quick test_daemon_quarantine;
+          Alcotest.test_case "quarantine is alpha-invariant" `Quick
+            test_daemon_quarantine_alpha;
           Alcotest.test_case "fault plan needs one worker" `Quick
             test_daemon_rejects_concurrent_faults;
           Alcotest.test_case "concurrent poison classifies deterministically"

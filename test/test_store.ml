@@ -1,20 +1,19 @@
 (* Cross-engine equivalence harness for the fact-store substrate.
 
-   The store under [lib/engine] is the load-bearing representation five
-   consumers share (Chase, Enumerate, Incr, Parallel, Resil); this suite
-   pins its *observable* behaviour so the representation can change
-   underneath without anything noticing. The contract, over random
-   guarded programs × random databases:
+   The store under [lib/engine] is the load-bearing representation four
+   consumers share (Chase, Enumerate, Incr, Resil); this suite pins its
+   *observable* behaviour so the representation can change underneath
+   without anything noticing. The contract, over random guarded
+   programs × random databases, is byte-identity across the [family] of
+   engines below — today the indexed engine alone, so each family
+   property checks that a rerun reproduces the first run byte for byte:
 
    - fresh chase: facts with their exact null ids and Lemma A.1
      s-levels, every clean-boundary checkpoint's bytes, the counter
-     stats (up to the timing histograms) and the enumerated answer sets
-     are byte-identical across {Indexed, Parallel 1/2/4};
-   - resume: continuing any checkpointed boundary is byte-identical
-     across the indexed engine family;
-   - serve: a maintained store (initial chase under any indexed-family
-     engine, then a mutation log) holds byte-identical facts, effects,
-     checkpoint and counters;
+     stats (up to the timing histograms) and the enumerated answer sets;
+   - resume: continuing any checkpointed boundary;
+   - serve: a maintained store (initial chase, then a mutation log)
+     holds byte-identical facts, effects, checkpoint and counters;
    - Naive agrees with the family up to null renaming, and exactly on
      answer sets (answers are null-free).
 
@@ -32,19 +31,9 @@ let atom = Generators.atom
 let fact = Generators.fact
 let tgd = Generators.tgd
 
-(* The stats report is deterministic up to its timing tail; comparisons
-   cut at the histograms key (which also drops the span). *)
-let cut_at_histograms s =
-  let marker = {|,"histograms":|} in
-  let n = String.length s and m = String.length marker in
-  let rec find i =
-    if i + m > n then s
-    else if String.sub s i m = marker then String.sub s 0 i
-    else find (i + 1)
-  in
-  find 0
+let cut_at_histograms = Generators.cut_at_histograms
 
-let family = [ `Indexed; `Parallel 1; `Parallel 2; `Parallel 4 ]
+let family = [ `Indexed ]
 
 (* ------------------------------------------------------------------ *)
 (* Fresh chase: everything observable about one budgeted run            *)
@@ -112,7 +101,7 @@ let prop_fresh_chase_byte_identical =
       let base = chase_observables ~engine:`Indexed ~policy sigma db in
       List.for_all
         (fun engine -> chase_observables ~engine ~policy sigma db = base)
-        (List.tl family))
+        family)
 
 let prop_naive_equivalent =
   QCheck.Test.make
@@ -175,7 +164,7 @@ let prop_resume_byte_identical =
       let base = resume_observables ~engine:`Indexed sigma snap in
       List.for_all
         (fun engine -> resume_observables ~engine sigma snap = base)
-        (List.tl family))
+        family)
 
 (* ------------------------------------------------------------------ *)
 (* Serve: a maintained store under a mutation log                       *)
@@ -250,7 +239,7 @@ let prop_serve_byte_identical =
       let base = serve_observables ~engine:`Indexed db ops in
       List.for_all
         (fun engine -> serve_observables ~engine db ops = base)
-        (List.tl family))
+        family)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed oracles: literals pinned against the pre-columnar store        *)
@@ -439,8 +428,7 @@ let test_vec_regrow () =
   Alcotest.(check int) "pop returns last" (9999 * 3) (Vec.pop v);
   Alcotest.(check int) "length after" 9_998 (Vec.length v)
 
-(* Interning round-trips, and batch seeding assigns ids independent of
-   how the batch was interleaved. *)
+(* Interning round-trips, and ids are dense in first-seen order. *)
 let test_symtab_roundtrip () =
   let open Engine in
   let named = List.init 50 (fun i -> Term.Named (Printf.sprintf "c%02d" i)) in
@@ -459,61 +447,9 @@ let test_symtab_roundtrip () =
   let id = Symtab.intern t far in
   check "null regrow round-trip" true
     (Symtab.extern t id = far && Symtab.find t far = Some id);
-  (* seeding: two tables fed the same batch in opposite orders agree *)
-  let t1 = Symtab.create () and t2 = Symtab.create () in
-  Symtab.seed t1 everything;
-  Symtab.seed t2 (List.rev everything);
-  check "seeded ids interleaving-independent" true
-    (List.for_all (fun c -> Symtab.find t1 c = Symtab.find t2 c) everything);
   (* predicates intern in their own id space *)
   let p = Symtab.intern_pred t "Edge" in
   Alcotest.(check string) "pred round-trip" "Edge" (Symtab.extern_pred t p)
-
-(* Provisional ranges: overlays hand out negative ids disjoint across
-   shards, and reconciliation assigns the same canonical ids whatever
-   the shard count was. *)
-let test_symtab_reconcile () =
-  let open Engine in
-  let base_syms = List.init 10 (fun i -> Term.Named (Printf.sprintf "b%d" i)) in
-  let news =
-    List.init 40 (fun i ->
-        if i mod 2 = 0 then Term.Named (Printf.sprintf "n%02d" i)
-        else Term.Null (i + 500))
-  in
-  let run shards =
-    let t = Symtab.create () in
-    Symtab.seed t base_syms;
-    let os = Array.init shards (fun s -> Symtab.overlay t ~shard:s ~shards) in
-    (* deal the stream round-robin: different shard counts see the same
-       symbols in different local orders *)
-    let provisional =
-      List.mapi (fun i c -> Symtab.overlay_intern os.(i mod shards) c) news
-    in
-    check "base symbols resolve to base ids" true
-      (List.for_all
-         (fun c ->
-           Symtab.overlay_intern os.(0) c = Option.get (Symtab.find t c))
-         base_syms);
-    check "provisional ids negative" true (List.for_all (fun i -> i < 0) provisional);
-    check "provisional ids disjoint" true
-      (List.length (List.sort_uniq compare provisional) = List.length provisional);
-    check "overlay extern round-trips provisional ids" true
-      (List.for_all2
-         (fun pid i -> Symtab.overlay_extern os.(i mod shards) pid = List.nth news i)
-         provisional
-         (List.init (List.length news) Fun.id));
-    Symtab.reconcile t os;
-    (news, List.map (fun c -> Option.get (Symtab.find t c)) news, t)
-  in
-  let _, ids1, _ = run 1 in
-  let _, ids2, _ = run 2 in
-  let _, ids4, _ = run 4 in
-  check "canonical ids independent of shard count (1 vs 2)" true (ids1 = ids2);
-  check "canonical ids independent of shard count (2 vs 4)" true (ids2 = ids4);
-  (* reconciled symbols extern back to themselves *)
-  let _, ids, t = run 3 in
-  check "reconciled round-trip" true
-    (List.for_all2 (fun c id -> Symtab.extern t id = c) news ids)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -546,8 +482,6 @@ let () =
           Alcotest.test_case "vec regrow boundary" `Quick test_vec_regrow;
           Alcotest.test_case "symtab intern/extern round-trip" `Quick
             test_symtab_roundtrip;
-          Alcotest.test_case "symtab shard-range reconciliation" `Quick
-            test_symtab_reconcile;
         ] );
       ("equivalence", qcheck_tests);
     ]
