@@ -832,6 +832,9 @@ let with_wal_dir f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
+let of_image_exn sigma image =
+  match Incr.of_image sigma image with Ok st -> st | Error e -> failwith e
+
 (* A WAL whose final segment holds [n] un-rotated mutations: recovery
    loads the seq-0 image and replays all [n]. [plan] injects faults into
    the producing run through the supervisor, so its degradation count
@@ -840,11 +843,11 @@ let with_wal_dir f =
 let e20_build_wal ~sigma ~db ~dir ~plan n =
   Relational.Term.reset_nulls ();
   let store = ref (Incr.create ~max_level:6 sigma db) in
-  let wal = Resil.Wal.create ~dir (Incr.image !store) in
   let anchor = Incr.image !store in
+  let wal = Resil.Wal.create ~dir anchor in
   let applied = ref [] in
   let restore () =
-    let st = Incr.of_image sigma anchor in
+    let st = of_image_exn sigma anchor in
     List.iter (fun op -> ignore (Incr.apply st op)) (List.rev !applied);
     st
   in
@@ -909,7 +912,7 @@ let e20 ~full () =
               match Resil.Wal.recover ~dir with
               | Error e -> failwith e
               | Ok r ->
-                  let st = Incr.of_image sigma r.Resil.Wal.rec_image in
+                  let st = of_image_exn sigma r.Resil.Wal.rec_image in
                   List.iter
                     (fun (_, op) -> ignore (Incr.apply st op))
                     r.Resil.Wal.rec_ops)
@@ -1288,7 +1291,7 @@ let gate () =
                       match Resil.Wal.recover ~dir with
                       | Error e -> failwith e
                       | Ok r ->
-                          let st = Incr.of_image sigma r.Resil.Wal.rec_image in
+                          let st = of_image_exn sigma r.Resil.Wal.rec_image in
                           List.iter
                             (fun (_, op) -> ignore (Incr.apply st op))
                             r.Resil.Wal.rec_ops)

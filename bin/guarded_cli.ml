@@ -356,16 +356,19 @@ let serve_cmd =
                 (* The maintenance loop, shared by the direct and the
                    supervised paths. [start_seq] is the 1-based position of
                    the first mutation still to apply (recovery already
-                   replayed the WAL tail up to start_seq - 1). *)
-                let serve_loop store0 start_seq wal =
+                   replayed the WAL tail up to start_seq - 1). [image0],
+                   when given, is the image bytes of [store0] the caller
+                   already captured (and wrote as the WAL's image-0). *)
+                let serve_loop store0 start_seq ?image0 wal =
                   Fmt.pr "%% serve: store saturated, %d facts@."
                     (Incr.size store0);
                   let store = ref store0 in
                   let inserts = ref 0 and deletes = ref 0 and noops = ref 0 in
                   let quarantined = ref 0 and degradations = ref 0 in
-                  (* the supervisor's restore anchor: the last image plus
-                     the mutations applied since (newest first) *)
-                  let base_image = ref None in
+                  (* the supervisor's restore anchor: the image bytes of
+                     the last rotation plus the mutations applied since
+                     (newest first) *)
+                  let base_image = ref image0 in
                   let ops_since = ref [] in
                   let since_rotate = ref 0 in
                   let anchor () =
@@ -374,10 +377,10 @@ let serve_cmd =
                     since_rotate := 0
                   in
                   let restore () =
-                    match !base_image with
+                    match Option.map (Incr.of_image sigma) !base_image with
                     | None -> assert false
-                    | Some im ->
-                        let st = Incr.of_image sigma im in
+                    | Some (Error msg) -> invalid_arg msg
+                    | Some (Ok st) ->
                         List.iter
                           (fun op -> ignore (Incr.apply st op))
                           (List.rev !ops_since);
@@ -453,7 +456,7 @@ let serve_cmd =
                         Resil.Wal.rotate w ~seq (Option.get !base_image))
                       wal
                   in
-                  if resilient then anchor ();
+                  if resilient && Option.is_none !base_image then anchor ();
                   Resil.Fault.arm_seq plan;
                   Fun.protect ~finally:Resil.Fault.disarm (fun () ->
                       for seq = start_seq to n do
@@ -561,36 +564,39 @@ let serve_cmd =
                                     dir log))
                           else begin
                             let rspan = Obs.Span.enter span "recover" in
-                            let store =
+                            match
                               Incr.of_image sigma r.Resil.Wal.rec_image
-                            in
-                            List.iter
-                              (fun (_, op) -> ignore (Incr.apply store op))
-                              r.Resil.Wal.rec_ops;
-                            let replayed = List.length r.Resil.Wal.rec_ops in
-                            Obs.Span.set rspan "image_seq"
-                              (Obs.Json.Int r.Resil.Wal.rec_image_seq);
-                            Obs.Span.set rspan "records_replayed"
-                              (Obs.Json.Int replayed);
-                            Obs.Span.set rspan "records_truncated"
-                              (Obs.Json.Int r.Resil.Wal.rec_truncated);
-                            if r.Resil.Wal.rec_skipped_images > 0 then
-                              Obs.Span.set rspan "skipped_images"
-                                (Obs.Json.Int r.Resil.Wal.rec_skipped_images);
-                            if r.Resil.Wal.rec_quarantined <> [] then
-                              Obs.Span.set rspan "quarantined"
-                                (Obs.Json.Int
-                                   (List.length r.Resil.Wal.rec_quarantined));
-                            Obs.Span.exit rspan;
-                            Fmt.pr
-                              "%% recover: image at seq %d, %d record(s) \
-                               replayed, %d truncated@."
-                              r.Resil.Wal.rec_image_seq replayed
-                              r.Resil.Wal.rec_truncated;
-                            Ok
-                              ( store,
-                                r.Resil.Wal.rec_last_seq + 1,
-                                Some (Resil.Wal.reopen ~dir) )
+                            with
+                            | Error msg -> Error (`Fault msg)
+                            | Ok store ->
+                              List.iter
+                                (fun (_, op) -> ignore (Incr.apply store op))
+                                r.Resil.Wal.rec_ops;
+                              let replayed = List.length r.Resil.Wal.rec_ops in
+                              Obs.Span.set rspan "image_seq"
+                                (Obs.Json.Int r.Resil.Wal.rec_image_seq);
+                              Obs.Span.set rspan "records_replayed"
+                                (Obs.Json.Int replayed);
+                              Obs.Span.set rspan "records_truncated"
+                                (Obs.Json.Int r.Resil.Wal.rec_truncated);
+                              if r.Resil.Wal.rec_skipped_images > 0 then
+                                Obs.Span.set rspan "skipped_images"
+                                  (Obs.Json.Int r.Resil.Wal.rec_skipped_images);
+                              if r.Resil.Wal.rec_quarantined <> [] then
+                                Obs.Span.set rspan "quarantined"
+                                  (Obs.Json.Int
+                                     (List.length r.Resil.Wal.rec_quarantined));
+                              Obs.Span.exit rspan;
+                              Fmt.pr
+                                "%% recover: image at seq %d, %d record(s) \
+                                 replayed, %d truncated@."
+                                r.Resil.Wal.rec_image_seq replayed
+                                r.Resil.Wal.rec_truncated;
+                              Ok
+                                ( store,
+                                  r.Resil.Wal.rec_last_seq + 1,
+                                  None,
+                                  Some (Resil.Wal.reopen ~dir) )
                           end)
                   | _ -> (
                       let fresh =
@@ -617,13 +623,19 @@ let serve_cmd =
                           else begin
                             if recover then
                               Fmt.pr "%% recover: empty WAL — starting fresh@.";
+                            (* one capture serves as the WAL's image-0
+                               and the supervisor's first anchor *)
+                            let image0 =
+                              if resilient then Some (Incr.image store)
+                              else None
+                            in
                             let wal =
                               Option.map
                                 (fun dir ->
-                                  Resil.Wal.create ~dir (Incr.image store))
+                                  Resil.Wal.create ~dir (Option.get image0))
                                 wal_dir
                             in
-                            Ok (store, 1, wal)
+                            Ok (store, 1, image0, wal)
                           end)
                 in
                 match prep with
@@ -639,7 +651,8 @@ let serve_cmd =
                        cannot maintain a truncated chase@."
                       max_level;
                     1
-                | Ok (store, start_seq, wal) -> serve_loop store start_seq wal))
+                | Ok (store, start_seq, image0, wal) ->
+                    serve_loop store start_seq ?image0 wal))
   in
   let log_arg =
     Arg.(

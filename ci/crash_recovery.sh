@@ -8,7 +8,8 @@
 # final record (simulated twice: once with an injected fsync fault, once
 # by dd-truncating the newest segment of a completed run) must be
 # truncated and replayed from the mutation log, never reported as
-# corruption.
+# corruption. A byte flipped inside the newest image, by contrast, is
+# corruption: recovery must refuse it rather than load a wrong store.
 #
 # Run from the repository root:  sh ci/crash_recovery.sh
 # Environment:
@@ -172,5 +173,35 @@ cmp -s "$TMP/ref.facts" "$TMP/dd.facts" || {
   exit 1
 }
 echo "crash_recovery: dd-truncated tail truncated and replayed"
+
+# ---- corrupted image -----------------------------------------------------
+
+# Flip one byte in the middle of the newest image of the finished run
+# above. Rotation pruned every older image, so nothing is left to fall
+# back to: recovery must refuse the image on its checksum — exit 1, one
+# diagnostic line, no store listing — instead of loading a wrong store.
+img=$(ls "$TMP/wal3"/image-*.json | sort -t- -k2 -n | tail -1)
+size=$(wc -c < "$img")
+off=$((size / 2))
+byte=$(dd if="$img" bs=1 skip="$off" count=1 2>/dev/null)
+if [ "$byte" = 1 ]; then flip=2; else flip=1; fi
+printf '%s' "$flip" | dd of="$img" bs=1 seek="$off" count=1 conv=notrunc 2>/dev/null
+code=$(serve "$TMP/corrupt.out" --wal "$TMP/wal3" --recover --checkpoint-every 10)
+[ "$code" = 1 ] || {
+  echo "crash_recovery: corrupt image expected exit 1, got $code"
+  exit 1
+}
+[ "$(wc -l < "$TMP/corrupt.out.err")" -eq 1 ] \
+  && grep -q "image checksum mismatch" "$TMP/corrupt.out.err" || {
+  echo "crash_recovery: corrupt image not refused with one diagnostic line"
+  cat "$TMP/corrupt.out.err"
+  exit 1
+}
+[ ! -s "$TMP/corrupt.out" ] || {
+  echo "crash_recovery: output (a store listing?) printed from a corrupt image"
+  head -3 "$TMP/corrupt.out"
+  exit 1
+}
+echo "crash_recovery: corrupted image refused"
 
 echo "crash_recovery: OK"

@@ -272,31 +272,30 @@ let decode_key idx key =
 
 (* Storage order: pid-ascending over the entry table, each entry's
    [e_order] in append order. [e_order] only ever sees order-preserving
-   removals, so replaying the returned facts into a fresh store rebuilds
-   every posting list in the same relative order this store presents. *)
-let ordered_facts idx =
-  let st = idx.symtab in
-  let out = ref [] in
+   removals, so replaying the rows into a fresh store rebuilds every
+   posting list in the same relative order this store presents. One
+   scratch cell array per relation is refilled for each of its rows. *)
+let iter_rows idx f =
+  let rec scratch_of arity = function
+    | ((r, _) as rc) :: rest -> if r.r_arity = arity then rc else scratch_of arity rest
+    | [] -> assert false
+  in
   Array.iteri
     (fun pid e ->
       match e with
       | None -> ()
       | Some e ->
-          let p = Symtab.extern_pred st pid in
+          let scratch = List.map (fun r -> (r, Array.make r.r_arity 0)) e.e_rels in
           Vec.iter
             (fun packed ->
-              let arity = arity_of_packed packed and row = row_of_packed packed in
-              let r =
-                match rel_find e arity with Some r -> r | None -> assert false
-              in
-              out :=
-                Fact.make p
-                  (List.init arity (fun i ->
-                       Symtab.extern st (Vec.get r.r_cols.(i) row)))
-                :: !out)
+              let r, cells = scratch_of (arity_of_packed packed) scratch in
+              let row = row_of_packed packed in
+              for i = 0 to r.r_arity - 1 do
+                cells.(i) <- Vec.get r.r_cols.(i) row
+              done;
+              f pid cells)
             e.e_order)
-    idx.tabs.entries;
-  List.rev !out
+    idx.tabs.entries
 
 let to_instance idx =
   Array.fold_left

@@ -27,15 +27,20 @@ val of_instance : Instance.t -> t
 (** The facts of the store, as an instance. *)
 val to_instance : t -> Instance.t
 
-(** The facts of the store in {e storage order}: predicates in intern
-    order, each relation's live rows oldest-first (append order of the
-    surviving posting entries). Inserting the returned facts into a
-    fresh store, in order, reproduces this store's iteration order
-    exactly — posting lists and relations present candidates in the same
-    sequence — which is what trajectory-faithful recovery of a
-    maintained store needs (row handles and free-list state may differ;
-    neither is observable through the matching API). *)
-val ordered_facts : t -> Fact.t list
+(** [iter_rows idx f] — the store's rows in {e storage order}:
+    predicates in intern order, each relation's live rows oldest-first
+    (append order of the surviving posting entries). [f pid cells] sees
+    the predicate id and the row's symbol ids ([cells.(i)] for argument
+    [i], see {!Symtab}) without a fact being materialised; [cells] is
+    scratch refilled for the next row, so copy it to keep it.
+    Inserting the rows' facts into a fresh store whose symbol table
+    interns the same symbols in the same order, in this order,
+    reproduces this store's iteration order exactly — posting lists and
+    relations present candidates in the same sequence — which is what
+    trajectory-faithful recovery of a maintained store needs (row
+    handles and free-list state may differ; neither is observable
+    through the matching API). *)
+val iter_rows : t -> (int -> int array -> unit) -> unit
 
 (** [add f idx] — file [f] under every argument position. No-op when the
     fact is already present. Mutates [idx] in place and returns it. *)

@@ -114,6 +114,33 @@ let check_engine : Tgds.Chase.engine -> unit = function
   | `Naive -> invalid_arg "Incr.create: maintenance requires the indexed engine"
   | `Indexed -> ()
 
+(* The store around its tables. *)
+let assemble sigma ~idx ~level_of ~base ~derivs ~uses ~fired ~level ~sat =
+  let m = Engine.Index.metrics idx in
+  {
+    rules =
+      List.map
+        (fun t ->
+          Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t })
+        sigma;
+    idx;
+    level_of;
+    base;
+    derivs;
+    uses;
+    fired;
+    level;
+    sat;
+    dirty = false;
+    c_inserts = Obs.Metrics.counter m "incr.inserts";
+    c_deletes = Obs.Metrics.counter m "incr.deletes";
+    c_noops = Obs.Metrics.counter m "incr.noops";
+    c_repaired = Obs.Metrics.counter m "incr.repaired";
+    c_overdeleted = Obs.Metrics.counter m "incr.overdeleted";
+    c_rederived = Obs.Metrics.counter m "incr.rederived";
+    c_deleted = Obs.Metrics.counter m "incr.deleted";
+  }
+
 let create ?(engine = `Indexed) ?max_level ?obs sigma db =
   check_engine engine;
   let derivs = Hashtbl.create 1024
@@ -131,27 +158,9 @@ let create ?(engine = `Indexed) ?max_level ?obs sigma db =
   in
   let base = Hashtbl.create (Instance.size db) in
   Instance.iter (fun f -> Hashtbl.replace base f ()) db;
-  let idx = Tgds.Chase.index r in
-  let m = Engine.Index.metrics idx in
-  {
-    rules = List.map (fun t -> Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t }) sigma;
-    idx;
-    level_of = er.Engine.Saturate.level_of;
-    base;
-    derivs;
-    uses;
-    fired;
-    level = Tgds.Chase.max_level r;
-    sat = Tgds.Chase.saturated r;
-    dirty = false;
-    c_inserts = Obs.Metrics.counter m "incr.inserts";
-    c_deletes = Obs.Metrics.counter m "incr.deletes";
-    c_noops = Obs.Metrics.counter m "incr.noops";
-    c_repaired = Obs.Metrics.counter m "incr.repaired";
-    c_overdeleted = Obs.Metrics.counter m "incr.overdeleted";
-    c_rederived = Obs.Metrics.counter m "incr.rederived";
-    c_deleted = Obs.Metrics.counter m "incr.deleted";
-  }
+  assemble sigma ~idx:(Tgds.Chase.index r) ~level_of:er.Engine.Saturate.level_of
+    ~base ~derivs ~uses ~fired ~level:(Tgds.Chase.max_level r)
+    ~sat:(Tgds.Chase.saturated r)
 
 (* ---- the delta fixpoint over the live store --------------------------- *)
 
@@ -408,131 +417,433 @@ let of_checkpoint ?engine ?obs sigma (s : Tgds.Chase.snapshot) =
 
 (* ---- exact images ----------------------------------------------------- *)
 
-type image = {
-  im_facts : (Fact.t * int) list;
-  im_base : Fact.t list;
-  im_ledger : ((int * Term.const option list) * Fact.t list * Fact.t list) list;
-  im_syms : Term.const list;
-  im_preds : string list;
-  im_level : int;
-  im_null_count : int;
-  im_counters : (string * int) list;
-}
-
 (* Exactness argument: the only store state observable through the
    mutation/checkpoint API is (a) the facts and their index iteration
    order (candidate order during joins — determines firing order and
    hence fresh-null assignment of future propagation), (b) the s-levels,
    (c) the base set, (d) the live ledger (support counts, over-delete
    cascades), (e) [level], the global null counter and the metrics.
-   [ordered_facts] captures (a) only together with the symbol table's
+   Storage order captures (a) only together with the symbol table's
    interning order: facts are stored grouped by predicate id, so a
    predicate interned early whose facts were all later deleted still
    holds its low pid, and a rebuild that re-interned symbols from the
    surviving facts alone would assign different ids and a different
-   storage order. [im_syms]/[im_preds] record the full id-order
-   enumeration of both spaces; [of_image] re-interns them first, after
-   which re-inserting [im_facts] in order reproduces (a) exactly (row
-   handles and free-list state differ but are not observable). Every
-   live derivation sits in [fired] (a killed record leaves [fired] at
-   death), so folding [fired] captures (d) entirely.
-   Ledger list order inside [derivs]/[uses] is not observable: every
-   reader either folds associatively (relevel, support_count) or
-   computes an order-independent closure (over-delete). *)
+   storage order. The image therefore carries the full id-order
+   enumeration of both spaces ([syms]/[preds]) and spells every fact by
+   those ids; [of_image] re-interns them first, after which re-inserting
+   [facts] in order reproduces (a) exactly (row handles and free-list
+   state differ but are not observable). Every live derivation sits in
+   [fired] (a killed record leaves [fired] at death), so folding [fired]
+   captures (d) entirely. Ledger list order inside [derivs]/[uses] is
+   not observable: every reader either folds associatively (relevel,
+   support_count) or computes an order-independent closure
+   (over-delete).
+
+   Byte stability, [image (of_image im) = im]: [facts] follow storage
+   order, [base] is sorted by interned fact key and [ledger] by interned
+   trigger key; the rebuild reproduces both the storage order and the
+   ids. (Hash-table iteration order would not do: it depends on each
+   table's growth history, which a rebuild does not repeat.) *)
+
+let image_schema = "guarded-serve-image"
+let image_version = 3
+
+(* -- encoding: one pass from the store into one buffer ---------------- *)
+
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+  else add_digits b n
+
+(* [,c1,…,cn] *)
+let add_cells b cells =
+  for i = 0 to Array.length cells - 1 do
+    Buffer.add_char b ',';
+    add_int b cells.(i)
+  done
+
+(* The id of a symbol of a stored fact. Base facts and every fact a
+   live derivation mentions are stored, so their symbols are interned;
+   an image spelling [-1] would only fail at recovery, so refuse now. *)
+let sym_id st c =
+  let id = Engine.Symtab.find_int st c in
+  if id < 0 then invalid_arg "Incr.image: symbol not interned";
+  id
+
+let pred_id st p =
+  let id = Engine.Symtab.find_pred_int st p in
+  if id < 0 then invalid_arg "Incr.image: predicate not interned";
+  id
+
+(* Facts by the ids their symbols hold, comma-separated. Plain
+   recursion: this runs once per ledger fact, and a closure per call
+   would dominate the encoder's allocation. *)
+let rec add_args b st = function
+  | [] -> ()
+  | c :: rest ->
+      Buffer.add_char b ',';
+      add_int b (sym_id st c);
+      add_args b st rest
+
+let rec add_facts b st = function
+  | [] -> ()
+  | f :: rest ->
+      Buffer.add_char b '[';
+      add_int b (pred_id st (Fact.pred f));
+      add_args b st (Fact.args f);
+      Buffer.add_char b ']';
+      if rest <> [] then Buffer.add_char b ',';
+      add_facts b st rest
+
+(* Interned keys, flattened: row [i] of a [keys] array of width [w] is
+   [keys.(i * w) .. keys.(i * w + w - 1)], padded with [pad] — below
+   every id and below the [-1] of an unbound trigger-key position, so a
+   key sorts before its extensions. One flat int array keeps the sort's
+   comparisons off the store's scattered heap. *)
+let pad = -2
+
+let fill_args keys st off args =
+  List.iteri (fun j c -> keys.(off + j) <- sym_id st c) args
+
+(* [0 .. n-1] ordered by their rows in [keys] *)
+let sort_keyed (keys : int array) ~width n =
+  let rec cmp i j k =
+    if k = width then 0
+    else
+      let c = compare keys.((i * width) + k) keys.((j * width) + k) in
+      if c <> 0 then c else cmp i j (k + 1)
+  in
+  let perm = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> cmp i j 0) perm;
+  perm
+
+(* the cells of key row [i] from column [from], comma-separated *)
+let add_key b keys ~width i ~from =
+  let k = ref from in
+  while !k < width && keys.((i * width) + !k) <> pad do
+    if !k > from then Buffer.add_char b ',';
+    add_int b keys.((i * width) + !k);
+    incr k
+  done
+
+(* a row's fact, rebuilt from its symbol ids *)
+let rec args_of st cells i acc =
+  if i < 0 then acc
+  else args_of st cells (i - 1) (Engine.Symtab.extern st cells.(i) :: acc)
+
 let image t =
   ensure_saturated t;
   ensure_clean t;
-  let facts =
-    List.map
-      (fun f ->
-        ( f,
-          match Hashtbl.find_opt t.level_of f with Some l -> l | None -> 0 ))
-      (Engine.Index.ordered_facts t.idx)
-  in
-  let base =
-    List.sort Fact.compare (Hashtbl.fold (fun f () acc -> f :: acc) t.base [])
-  in
-  let ledger =
-    List.sort
-      (fun (k1, _, _) (k2, _, _) -> compare k1 k2)
-      (Hashtbl.fold (fun k d acc -> (k, d.d_body, d.d_outs) :: acc) t.fired [])
-  in
   let st = Engine.Index.symtab t.idx in
-  let syms = List.init (Engine.Symtab.size st) (Engine.Symtab.extern st) in
-  let preds =
-    List.init (Engine.Symtab.pred_count st) (Engine.Symtab.extern_pred st)
+  (* ~60 bytes per stored fact on lubm; a close guess spares the buffer
+     its doubling copies *)
+  let b = Buffer.create (64 * (size t + 64)) in
+  Buffer.add_string b "{\"schema\":";
+  Obs.Json.add_string b image_schema;
+  Buffer.add_string b ",\"version\":";
+  add_int b image_version;
+  Buffer.add_string b ",\"level\":";
+  add_int b t.level;
+  Buffer.add_string b ",\"null_count\":";
+  add_int b (Term.null_count ());
+  Buffer.add_string b ",\"counters\":{";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char b ',';
+      Obs.Json.add_string b k;
+      Buffer.add_char b ':';
+      add_int b v)
+    (Obs.Metrics.counters (metrics t));
+  (* interning order is load-bearing: ids index these two lists *)
+  Buffer.add_string b "},\"syms\":[";
+  for id = 0 to Engine.Symtab.size st - 1 do
+    if id > 0 then Buffer.add_char b ',';
+    match Engine.Symtab.extern st id with
+    | Term.Named s -> Obs.Json.add_string b s
+    | Term.Null n ->
+        Buffer.add_string b "{\"n\":";
+        add_int b n;
+        Buffer.add_char b '}'
+  done;
+  Buffer.add_string b "],\"preds\":[";
+  for pid = 0 to Engine.Symtab.pred_count st - 1 do
+    if pid > 0 then Buffer.add_char b ',';
+    Obs.Json.add_string b (Engine.Symtab.extern_pred st pid)
+  done;
+  (* storage order is load-bearing: rows [pid,level,c1,…,cn] *)
+  Buffer.add_string b "],\"facts\":[";
+  let first = ref true in
+  Engine.Index.iter_rows t.idx (fun pid cells ->
+      let f =
+        Fact.make
+          (Engine.Symtab.extern_pred st pid)
+          (args_of st cells (Array.length cells - 1) [])
+      in
+      if !first then first := false else Buffer.add_char b ',';
+      Buffer.add_char b '[';
+      add_int b pid;
+      Buffer.add_char b ',';
+      add_int b (try Hashtbl.find t.level_of f with Not_found -> 0);
+      add_cells b cells;
+      Buffer.add_char b ']');
+  (* base facts [pid,c1,…,cn], ordered by that interned key *)
+  Buffer.add_string b "],\"base\":[";
+  let base = Array.of_list (Hashtbl.fold (fun f () acc -> f :: acc) t.base []) in
+  let width = Array.fold_left (fun w f -> max w (1 + Fact.arity f)) 1 base in
+  let keys = Array.make (Array.length base * width) pad in
+  Array.iteri
+    (fun i f ->
+      keys.(i * width) <- pred_id st (Fact.pred f);
+      fill_args keys st ((i * width) + 1) (Fact.args f))
+    base;
+  Array.iteri
+    (fun n i ->
+      if n > 0 then Buffer.add_char b ',';
+      Buffer.add_char b '[';
+      add_key b keys ~width i ~from:0;
+      Buffer.add_char b ']')
+    (sort_keyed keys ~width (Array.length base));
+  (* live derivations [rule,[key ids],[body facts],[head facts]], ordered
+     by interned trigger key [rule,id or -1 per body variable] *)
+  Buffer.add_string b "],\"ledger\":[";
+  let ledger = Array.of_list (Hashtbl.fold (fun _ d acc -> d :: acc) t.fired []) in
+  let width =
+    Array.fold_left (fun w d -> max w (1 + List.length (snd d.d_key))) 1 ledger
   in
-  {
-    im_facts = facts;
-    im_base = base;
-    im_ledger = ledger;
-    im_syms = syms;
-    im_preds = preds;
-    im_level = t.level;
-    im_null_count = Term.null_count ();
-    im_counters = Obs.Metrics.counters (metrics t);
-  }
+  let keys = Array.make (Array.length ledger * width) pad in
+  Array.iteri
+    (fun i d ->
+      let rule, cs = d.d_key in
+      keys.(i * width) <- rule;
+      List.iteri
+        (fun j c ->
+          keys.((i * width) + 1 + j) <-
+            (match c with None -> -1 | Some c -> sym_id st c))
+        cs)
+    ledger;
+  Array.iteri
+    (fun n i ->
+      let d = ledger.(i) in
+      if n > 0 then Buffer.add_char b ',';
+      Buffer.add_char b '[';
+      add_int b keys.(i * width);
+      Buffer.add_string b ",[";
+      add_key b keys ~width i ~from:1;
+      Buffer.add_string b "],[";
+      add_facts b st d.d_body;
+      Buffer.add_string b "],[";
+      add_facts b st d.d_outs;
+      Buffer.add_string b "]]")
+    (sort_keyed keys ~width (Array.length ledger));
+  Buffer.add_string b "]}";
+  Buffer.contents b
 
-let of_image sigma (im : image) =
+(* -- decoding: a scanner over the layout [image] writes --------------- *)
+
+exception Bad_image of string
+
+let of_image sigma s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let refuse msg = raise (Bad_image ("incr: " ^ msg)) in
+  let fail msg = refuse (Printf.sprintf "bad image at offset %d: %s" !pos msg) in
+  let peek () =
+    while
+      !pos < n && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      incr pos
+    done;
+    if !pos < n then s.[!pos] else '\000'
+  in
+  let expect c = if peek () = c then incr pos else fail (Printf.sprintf "expected %C" c) in
+  let int () =
+    let neg = peek () = '-' in
+    if neg then incr pos;
+    let start = !pos and v = ref 0 in
+    while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
+      v := (!v * 10) + Char.code s.[!pos] - 48;
+      incr pos
+    done;
+    if !pos = start || !pos - start > 18 then fail "bad integer";
+    if neg then - !v else !v
+  in
+  let str () =
+    ignore (peek ());
+    match Obs.Json.string_at s !pos with
+    | Ok (v, next) ->
+        pos := next;
+        v
+    | Error e -> fail e
+  in
+  let field name =
+    if str () <> name then fail (Printf.sprintf "expected field %S" name);
+    expect ':'
+  in
+  let next_field name =
+    expect ',';
+    field name
+  in
+  (* the elements of an array, [f] reading each *)
+  let items f =
+    expect '[';
+    if peek () = ']' then incr pos
+    else begin
+      f ();
+      while peek () = ',' do
+        incr pos;
+        f ()
+      done;
+      expect ']'
+    end
+  in
   let idx = Engine.Index.create () in
   let st = Engine.Index.symtab idx in
-  List.iter (fun c -> ignore (Engine.Symtab.intern st c)) im.im_syms;
-  List.iter (fun p -> ignore (Engine.Symtab.intern_pred st p)) im.im_preds;
-  List.iter (fun (f, _) -> ignore (Engine.Index.insert f idx)) im.im_facts;
-  let level_of = Hashtbl.create (max 16 (List.length im.im_facts)) in
-  List.iter (fun (f, l) -> Hashtbl.replace level_of f l) im.im_facts;
-  let base = Hashtbl.create (max 16 (List.length im.im_base)) in
-  List.iter (fun f -> Hashtbl.replace base f ()) im.im_base;
-  let derivs = Hashtbl.create 1024
-  and uses = Hashtbl.create 1024
-  and fired = Hashtbl.create 1024 in
-  List.iter
-    (fun (k, body, outs) ->
-      let d = { d_key = k; d_body = body; d_outs = outs; d_live = true } in
-      Hashtbl.replace fired k d;
-      List.iter (fun f -> push uses f d) body;
-      List.iter (fun f -> push derivs f d) outs)
-    im.im_ledger;
-  Term.set_null_count im.im_null_count;
-  let m = Engine.Index.metrics idx in
-  (* re-seed every counter to the image's total, cancelling the rebuild's
-     own increments (the inserts above bumped [index.inserts] etc.) —
-     same trick as [Saturate.resume] *)
-  let names =
-    List.sort_uniq String.compare
-      (List.map fst im.im_counters @ List.map fst (Obs.Metrics.counters m))
+  let sym id =
+    if id < 0 || id >= Engine.Symtab.size st then fail "unknown symbol id";
+    Engine.Symtab.extern st id
   in
-  List.iter
-    (fun name ->
-      let saved =
-        match List.assoc_opt name im.im_counters with Some v -> v | None -> 0
+  (* the rest of a row [pid,c1,…,cn], its pid already read *)
+  let fact_of pid =
+    if pid < 0 || pid >= Engine.Symtab.pred_count st then
+      fail "unknown predicate id";
+    let rec args acc =
+      if peek () = ',' then begin
+        incr pos;
+        let c = sym (int ()) in
+        args (c :: acc)
+      end
+      else begin
+        expect ']';
+        List.rev acc
+      end
+    in
+    Fact.make (Engine.Symtab.extern_pred st pid) (args [])
+  in
+  let row () =
+    expect '[';
+    fact_of (int ())
+  in
+  let rows () =
+    let acc = ref [] in
+    items (fun () -> acc := row () :: !acc);
+    List.rev !acc
+  in
+  try
+    expect '{';
+    field "schema";
+    let schema = str () in
+    if schema <> image_schema then
+      refuse (Printf.sprintf "unknown image schema %S" schema);
+    next_field "version";
+    let version = int () in
+    if version <> image_version then
+      refuse (Printf.sprintf "unsupported image version %d" version);
+    next_field "level";
+    let level = int () in
+    next_field "null_count";
+    let null_count = int () in
+    next_field "counters";
+    let counters = ref [] in
+    expect '{';
+    if peek () = '}' then incr pos
+    else begin
+      let counter () =
+        let k = str () in
+        expect ':';
+        counters := (k, int ()) :: !counters
       in
-      let c = Obs.Metrics.counter m name in
-      Obs.Metrics.add c (saved - Obs.Metrics.value c))
-    names;
-  {
-    rules =
-      List.map
-        (fun t ->
-          Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t })
-        sigma;
-    idx;
-    level_of;
-    base;
-    derivs;
-    uses;
-    fired;
-    level = im.im_level;
-    sat = true;
-    dirty = false;
-    c_inserts = Obs.Metrics.counter m "incr.inserts";
-    c_deletes = Obs.Metrics.counter m "incr.deletes";
-    c_noops = Obs.Metrics.counter m "incr.noops";
-    c_repaired = Obs.Metrics.counter m "incr.repaired";
-    c_overdeleted = Obs.Metrics.counter m "incr.overdeleted";
-    c_rederived = Obs.Metrics.counter m "incr.rederived";
-    c_deleted = Obs.Metrics.counter m "incr.deleted";
-  }
+      counter ();
+      while peek () = ',' do
+        incr pos;
+        counter ()
+      done;
+      expect '}'
+    end;
+    next_field "syms";
+    items (fun () ->
+        let c =
+          if peek () = '{' then begin
+            incr pos;
+            field "n";
+            let i = int () in
+            expect '}';
+            Term.Null i
+          end
+          else Term.Named (str ())
+        in
+        let id = Engine.Symtab.intern st c in
+        if id <> Engine.Symtab.size st - 1 then fail "duplicate symbol");
+    next_field "preds";
+    items (fun () ->
+        let pid = Engine.Symtab.intern_pred st (str ()) in
+        if pid <> Engine.Symtab.pred_count st - 1 then fail "duplicate predicate");
+    next_field "facts";
+    let level_of = Hashtbl.create 1024 in
+    items (fun () ->
+        expect '[';
+        let pid = int () in
+        expect ',';
+        let l = int () in
+        let f = fact_of pid in
+        if not (Engine.Index.insert f idx) then fail "duplicate fact";
+        Hashtbl.replace level_of f l);
+    next_field "base";
+    let base = Hashtbl.create 1024 in
+    items (fun () -> Hashtbl.replace base (row ()) ());
+    next_field "ledger";
+    let derivs = Hashtbl.create 1024
+    and uses = Hashtbl.create 1024
+    and fired = Hashtbl.create 1024 in
+    items (fun () ->
+        expect '[';
+        let rule = int () in
+        expect ',';
+        let key = ref [] in
+        items (fun () ->
+            let id = int () in
+            key := (if id < 0 then None else Some (sym id)) :: !key);
+        expect ',';
+        let body = rows () in
+        expect ',';
+        let outs = rows () in
+        expect ']';
+        let d =
+          { d_key = (rule, List.rev !key); d_body = body; d_outs = outs;
+            d_live = true }
+        in
+        Hashtbl.replace fired d.d_key d;
+        List.iter (fun f -> push uses f d) body;
+        List.iter (fun f -> push derivs f d) outs);
+    expect '}';
+    ignore (peek ());
+    if !pos < n then fail "trailing bytes";
+    Term.set_null_count null_count;
+    let m = Engine.Index.metrics idx in
+    (* re-seed every counter to the image's total, cancelling the
+       rebuild's own increments (the inserts above bumped
+       [index.inserts] etc.) — same trick as [Saturate.resume] *)
+    let names =
+      List.sort_uniq String.compare
+        (List.map fst !counters @ List.map fst (Obs.Metrics.counters m))
+    in
+    List.iter
+      (fun name ->
+        let saved =
+          match List.assoc_opt name !counters with Some v -> v | None -> 0
+        in
+        let c = Obs.Metrics.counter m name in
+        Obs.Metrics.add c (saved - Obs.Metrics.value c))
+      names;
+    Ok
+      (assemble sigma ~idx ~level_of ~base ~derivs ~uses ~fired ~level
+         ~sat:true)
+  with Bad_image msg -> Error msg
 
 let report ?(name = "incr") ?span t =
   let rep = Obs.Report.create ~metrics:(metrics t) ?span name in

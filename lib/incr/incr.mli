@@ -134,39 +134,39 @@ val checkpoint : t -> Tgds.Chase.snapshot
 val of_checkpoint :
   ?engine:Tgds.Chase.engine -> ?obs:Obs.Span.t -> Tgds.Tgd.t list -> Tgds.Chase.snapshot -> t
 
-type image = {
-  im_facts : (Fact.t * int) list;
-      (** every fact with its s-level, in index {e storage order} (see
-          {!Engine.Index.ordered_facts}) *)
-  im_base : Fact.t list;  (** the base database, sorted *)
-  im_ledger : ((int * Term.const option list) * Fact.t list * Fact.t list) list;
-      (** live derivations [(trigger key, body, outs)], sorted by key *)
-  im_syms : Term.const list;
-      (** every interned constant and null, in id order — including
-          symbols whose facts have since been deleted, which still hold
-          their ids and keep the index layout aligned *)
-  im_preds : string list;  (** every interned predicate, in id order *)
-  im_level : int;
-  im_null_count : int;  (** the global labelled-null counter *)
-  im_counters : (string * int) list;
-}
-(** An {e exact} serialisation of a maintained store — unlike
-    {!checkpoint}/{!of_checkpoint}, which round-trip only up to null
-    renaming, [of_image (image t)] reproduces [t] trajectory-faithfully:
-    same facts with the {e same} null ids, same index iteration order,
-    same ledger, same null counter and metrics. Replaying a mutation log
+(** [image t] — an {e exact} serialisation of the store: the bytes of a
+    [guarded-serve-image] version-3 file, encoded in one pass straight
+    from the store. Unlike {!checkpoint}/{!of_checkpoint}, which
+    round-trip only up to null renaming, [of_image (image t)] reproduces
+    [t] trajectory-faithfully: same facts with the {e same} null ids,
+    same index storage order, same s-levels, same base, same live
+    ledger, same null counter and metrics. Replaying a mutation log
     suffix against the rebuilt store therefore yields output
     byte-identical to the uninterrupted run — the invariant crash
-    recovery of a WAL-backed [serve] is built on. *)
+    recovery of a WAL-backed [serve] is built on. Re-encoding a rebuilt
+    store gives the same bytes.
 
-(** [image t] — capture the store. Raises [Invalid_argument] on an
-    unsaturated or dirty store. *)
-val image : t -> image
+    The layout is one JSON object, fields in this order: [schema],
+    [version] (3), [level], [null_count], [counters], then [syms] and
+    [preds] — every interned constant/null and predicate in id order,
+    including ones whose facts have since been deleted (they still hold
+    their ids and keep the storage layout aligned) — then [facts] (rows
+    [[pid,level,c1,…,cn]] in storage order), [base] (rows
+    [[pid,c1,…,cn]] in ascending order) and [ledger] (live derivations
+    [[rule,[key ids],[body rows],[head rows]]] ordered by interned
+    trigger key, [-1] for an unbound key position), every constant and
+    predicate spelled by its id in [syms]/[preds].
 
-(** [of_image sigma im] — rebuild the captured store exactly. Resets the
-    global null counter to [im_null_count], so facts derived after the
-    rebuild reuse the ids the original run would have assigned. *)
-val of_image : Tgds.Tgd.t list -> image -> t
+    Raises [Invalid_argument] on an unsaturated or dirty store. *)
+val image : t -> string
+
+(** [of_image sigma bytes] — rebuild the captured store exactly. Resets
+    the global null counter to the image's, so facts derived after the
+    rebuild reuse the ids the original run would have assigned.
+    [Error] with a one-line diagnostic on anything but a version-3
+    image of this layout (e.g. ["incr: unsupported image version 2"]);
+    the null counter is left alone then. *)
+val of_image : Tgds.Tgd.t list -> string -> (t, string) result
 
 (** [report ?name t] — a run report over the store's metrics (counters
     above, no span tree unless the caller kept one). *)

@@ -11,7 +11,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape buf s =
+let add_string buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -36,7 +36,7 @@ let rec emit buf = function
         (* no NaN/Inf in JSON; clamp deterministically *)
         Buffer.add_string buf "null"
       else Buffer.add_string buf (Printf.sprintf "%.6f" f)
-  | String s -> escape buf s
+  | String s -> add_string buf s
   | List l ->
       Buffer.add_char buf '[';
       List.iteri
@@ -50,7 +50,7 @@ let rec emit buf = function
       List.iteri
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
+          add_string buf k;
           Buffer.add_char buf ':';
           emit buf x)
         fields;
@@ -70,6 +70,57 @@ let to_channel oc j =
 (* ------------------------------------------------------------------ *)
 
 exception Bad of string
+
+(* The string literal opening at [s.[pos0]]: its value and the offset
+   just past its closing quote. Raises [Bad]. *)
+let string_lit_at s pos0 =
+  let n = String.length s in
+  let pos = ref pos0 in
+  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  (match peek () with Some '"' -> advance () | _ -> fail "expected \"");
+  let buf = Buffer.create 16 in
+  let rec go () =
+    match peek () with
+    | None -> fail "unterminated string"
+    | Some '"' -> advance ()
+    | Some '\\' -> (
+        advance ();
+        match peek () with
+        | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
+        | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
+        | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
+        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
+        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
+        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
+        | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
+        | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
+        | Some 'u' ->
+            advance ();
+            if !pos + 4 > n then fail "truncated \\u escape";
+            let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+            pos := !pos + 4;
+            (* BMP only; enough for the reports we emit *)
+            if code < 0x80 then Buffer.add_char buf (Char.chr code)
+            else if code < 0x800 then begin
+              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end
+            else begin
+              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+            end;
+            go ()
+        | _ -> fail "bad escape")
+    | Some c ->
+        Buffer.add_char buf c;
+        advance ();
+        go ()
+  in
+  go ();
+  (Buffer.contents buf, !pos)
 
 let parse s =
   let n = String.length s in
@@ -98,48 +149,9 @@ let parse s =
     else fail (Printf.sprintf "expected %s" word)
   in
   let string_lit () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-              pos := !pos + 4;
-              (* BMP only; enough for the reports we emit *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
+    let v, next = string_lit_at s !pos in
+    pos := next;
+    v
   in
   (* RFC 8259 number grammar: an optional minus, then [0] or a nonzero-led
      digit run, then an optional [. digits] fraction and an optional
@@ -274,6 +286,11 @@ let parse s =
   with
   | Bad msg -> Error msg
   | Failure _ -> Error "malformed input"
+
+let string_at s pos =
+  try Ok (string_lit_at s pos) with
+  | Bad msg -> Error msg
+  | Failure _ -> Error "malformed string"
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields

@@ -21,6 +21,17 @@ val to_string : t -> string
 (** [to_channel oc j] — serialise followed by a newline. *)
 val to_channel : out_channel -> t -> unit
 
+(** [add_string buf s] — append [s] as a JSON string literal, escaped
+    exactly as {!to_string} escapes [String s]. For writers that stream
+    JSON into a buffer without building a {!t}. *)
+val add_string : Buffer.t -> string -> unit
+
+(** [string_at s pos] — decode the JSON string literal opening at byte
+    [pos] of [s]: its value and the offset just past the closing quote.
+    The inverse of {!add_string}, for readers that scan a known layout
+    without building a {!t}. *)
+val string_at : string -> int -> (string * int, string) result
+
 (** [parse s] — parse a complete JSON document (trailing whitespace
     allowed). Numbers without [.]/[e] become [Int], others [Float]. *)
 val parse : string -> (t, string) result

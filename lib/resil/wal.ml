@@ -47,13 +47,6 @@ let is_empty ~dir = fst (scan dir) = []
 
 (* ---- record codec ----------------------------------------------------- *)
 
-let bare_fact_to_json f =
-  J.Obj
-    [
-      ("p", J.String (Fact.pred f));
-      ("a", J.List (List.map Checkpoint.const_to_json (Fact.args f)));
-    ]
-
 let bare_fact_of_json j =
   match (J.member "p" j, J.member "a" j) with
   | Some (J.String p), Some (J.List args) ->
@@ -91,161 +84,35 @@ let record_of_json j =
         (bare_fact_of_json j)
   | _ -> Error (Printf.sprintf "wal: bad record %s" (J.to_string j))
 
-(* ---- image codec ------------------------------------------------------ *)
-
-let image_schema = "guarded-serve-image"
-let image_version = 2
-
-let key_to_json (rule, cs) =
-  J.Obj
-    [
-      ("r", J.Int rule);
-      ( "k",
-        J.List
-          (List.map
-             (function None -> J.Null | Some c -> Checkpoint.const_to_json c)
-             cs) );
-    ]
-
-let key_of_json j =
-  match (J.member "r" j, J.member "k" j) with
-  | Some (J.Int rule), Some (J.List cs) ->
-      let rec decode acc = function
-        | [] -> Ok (rule, List.rev acc)
-        | J.Null :: rest -> decode (None :: acc) rest
-        | c :: rest -> (
-            match Checkpoint.const_of_json c with
-            | Ok c -> decode (Some c :: acc) rest
-            | Error _ as e -> e)
-      in
-      decode [] cs
-  | _ -> Error (Printf.sprintf "wal: bad trigger key %s" (J.to_string j))
-
-let image_to_json ~seq (im : Incr.image) =
-  J.Obj
-    [
-      ("schema", J.String image_schema);
-      ("version", J.Int image_version);
-      ("seq", J.Int seq);
-      ("level", J.Int im.Incr.im_level);
-      ("null_count", J.Int im.Incr.im_null_count);
-      ( "counters",
-        J.Obj (List.map (fun (k, v) -> (k, J.Int v)) im.Incr.im_counters) );
-      ("base", J.List (List.map bare_fact_to_json im.Incr.im_base));
-      (* interning order is load-bearing — never sort these lists *)
-      ("syms", J.List (List.map Checkpoint.const_to_json im.Incr.im_syms));
-      ("preds", J.List (List.map (fun p -> J.String p) im.Incr.im_preds));
-      (* storage order is load-bearing — never sort this list *)
-      ("facts", J.List (List.map Checkpoint.fact_to_json im.Incr.im_facts));
-      ( "ledger",
-        J.List
-          (List.map
-             (fun (key, body, outs) ->
-               match key_to_json key with
-               | J.Obj kvs ->
-                   J.Obj
-                     (kvs
-                     @ [
-                         ("b", J.List (List.map bare_fact_to_json body));
-                         ("o", J.List (List.map bare_fact_to_json outs));
-                       ])
-               | _ -> assert false)
-             im.Incr.im_ledger) );
-    ]
-
-let ( let* ) = Result.bind
-
-let field name extract j =
-  match Option.map extract (J.member name j) with
-  | Some (Some v) -> Ok v
-  | _ -> Error (Printf.sprintf "wal: missing or bad image field %S" name)
-
-let int_f = function J.Int i -> Some i | _ -> None
-let str_f = function J.String s -> Some s | _ -> None
-
-let list_field name decode j =
-  match J.member name j with
-  | Some (J.List es) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | e :: rest -> (
-            match decode e with
-            | Ok v -> go (v :: acc) rest
-            | Error _ as err -> err)
-      in
-      go [] es
-  | _ -> Error (Printf.sprintf "wal: missing or bad image field %S" name)
-
-let image_of_json j =
-  let* sch = field "schema" str_f j in
-  let* () =
-    if sch = image_schema then Ok ()
-    else Error (Printf.sprintf "wal: unknown image schema %S" sch)
-  in
-  let* ver = field "version" int_f j in
-  let* () =
-    if ver = image_version then Ok ()
-    else Error (Printf.sprintf "wal: unsupported image version %d" ver)
-  in
-  let* seq = field "seq" int_f j in
-  let* level = field "level" int_f j in
-  let* null_count = field "null_count" int_f j in
-  let* counters =
-    match J.member "counters" j with
-    | Some (J.Obj kvs) ->
-        let rec decode acc = function
-          | [] -> Ok (List.rev acc)
-          | (k, J.Int v) :: rest -> decode ((k, v) :: acc) rest
-          | (k, _) :: _ -> Error (Printf.sprintf "wal: bad counter %S" k)
-        in
-        decode [] kvs
-    | _ -> Error "wal: missing or bad image field \"counters\""
-  in
-  let* base = list_field "base" bare_fact_of_json j in
-  let* syms = list_field "syms" Checkpoint.const_of_json j in
-  let* preds =
-    list_field "preds"
-      (function
-        | J.String p -> Ok p
-        | e -> Error (Printf.sprintf "wal: bad predicate %s" (J.to_string e)))
-      j
-  in
-  let* facts = list_field "facts" Checkpoint.fact_of_json j in
-  let* ledger =
-    list_field "ledger"
-      (fun e ->
-        let* key = key_of_json e in
-        let* body = list_field "b" bare_fact_of_json e in
-        let* outs = list_field "o" bare_fact_of_json e in
-        Ok (key, body, outs))
-      j
-  in
-  Ok
-    ( seq,
-      {
-        Incr.im_facts = facts;
-        im_base = base;
-        im_ledger = ledger;
-        im_syms = syms;
-        im_preds = preds;
-        im_level = level;
-        im_null_count = null_count;
-        im_counters = counters;
-      } )
-
 (* ---- writing ---------------------------------------------------------- *)
 
-let write_image path ~seq image =
+(* Make renames, creations and removals in [dir] durable. Directory
+   fsync is how POSIX persists a directory entry; a filesystem that
+   cannot fsync a directory (EINVAL) has no stronger call to offer. *)
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
+
+(* An image file is framed like a record: [<crc32-hex8> <bytes>\n]. *)
+let write_image dir seq image =
+  let path = dir / image_name seq in
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
   let oc = Unix.out_channel_of_descr fd in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      J.to_channel oc (image_to_json ~seq image);
+      output_string oc (Crc32.to_hex (Crc32.string image));
+      output_char oc ' ';
+      output_string oc image;
+      output_char oc '\n';
       flush oc;
       Unix.fsync fd);
-  Sys.rename tmp path
+  Sys.rename tmp path;
+  fsync_dir dir
 
 let open_segment path =
   let fd = Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644 in
@@ -267,9 +134,10 @@ let create ~dir image =
            "wal: %s already holds a WAL — pass --recover to resume it, or \
             point --wal at a fresh directory"
            dir));
-  write_image (dir / image_name 0) ~seq:0 image;
+  write_image dir 0 image;
   let seg = dir / segment_name 0 in
   let fd, oc = open_segment seg in
+  fsync_dir dir;
   { dir; fd; oc; seg }
 
 let reopen ~dir =
@@ -300,13 +168,16 @@ let append t record =
   Unix.fsync t.fd
 
 let rotate t ~seq image =
-  write_image (t.dir / image_name seq) ~seq image;
+  write_image t.dir seq image;
   close_out_noerr t.oc;
   let seg = t.dir / segment_name seq in
   let fd, oc = open_segment seg in
   t.fd <- fd;
   t.oc <- oc;
   t.seg <- seg;
+  (* the new image and segment are durable entries before anything
+     older goes: a power loss leaves the old set or the new one *)
+  fsync_dir t.dir;
   let images, segs = scan t.dir in
   List.iter
     (fun s -> if s < seq then Sys.remove (t.dir / image_name s))
@@ -318,7 +189,7 @@ let close t = close_out_noerr t.oc
 (* ---- recovery --------------------------------------------------------- *)
 
 type recovery = {
-  rec_image : Incr.image;
+  rec_image : string;
   rec_image_seq : int;
   rec_ops : (int * Incr.op) list;
   rec_quarantined : int list;
@@ -333,10 +204,26 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The image bytes of a framed image file, checksum verified. *)
 let load_image path =
   match read_file path with
   | exception Sys_error msg -> Error (Printf.sprintf "wal: %s" msg)
-  | contents -> Result.bind (J.parse contents) image_of_json
+  | contents ->
+      let n = String.length contents in
+      if n > 0 && contents.[0] = '{' then
+        Error
+          (Printf.sprintf
+             "wal: %s is an unframed image from before image version 3 — \
+              finish this WAL with the binary that wrote it"
+             path)
+      else if n < 10 || contents.[8] <> ' ' || contents.[n - 1] <> '\n' then
+        Error (Printf.sprintf "wal: %s: malformed image frame" path)
+      else
+        let image = String.sub contents 9 (n - 10) in
+        match Crc32.of_hex (String.sub contents 0 8) with
+        | Some crc when crc = Crc32.string image -> Ok image
+        | Some _ -> Error (Printf.sprintf "wal: %s: image checksum mismatch" path)
+        | None -> Error (Printf.sprintf "wal: %s: malformed image frame" path)
 
 let decode_line line =
   match String.index_opt line ' ' with
@@ -401,7 +288,7 @@ let recover ~dir =
       | [] -> Error "wal: no image decodes"
       | seq :: rest -> (
           match load_image (dir / image_name seq) with
-          | Ok (_, im) -> Ok (seq, im, skipped)
+          | Ok im -> Ok (seq, im, skipped)
           | Error msg -> if rest = [] then Error msg else pick (skipped + 1) rest)
     in
     match pick 0 images with

@@ -2,9 +2,12 @@
 
     A WAL directory holds two kinds of files:
 
-    - [image-<seq>.json] — an exact {!Incr.image} of the maintained
-      store {e after} applying mutations [1..seq] (written atomically:
-      temp file, fsync, rename);
+    - [image-<seq>.json] — the bytes of an exact {!Incr.image} of the
+      maintained store {e after} applying mutations [1..seq], framed
+      like a record: [<crc32-hex8> <image>\n], the checksum covering
+      the image bytes (written atomically: temp file, fsync, rename,
+      directory fsync). The WAL never looks inside an image: it
+      frames, writes and verifies bytes; {!Incr} owns the codec;
     - [wal-<seq>.log] — the segment of records appended {e after} that
       image, one record per line:
       {v
@@ -28,15 +31,16 @@
     newline and fsync) let a fault plan exercise both crash windows
     deterministically.
 
-    {!rotate} writes a fresh image and starts a new segment, then prunes
-    everything older; each crash window in that sequence leaves a
-    recoverable directory (an image with no segment recovers with an
-    empty tail; an un-pruned old segment contributes no records above
-    the image's seq).
+    {!rotate} writes a fresh image and starts a new segment, fsyncs the
+    directory so both entries are durable, then prunes everything
+    older; each crash window in that sequence — a power loss included
+    — leaves a recoverable directory (an image with no segment recovers
+    with an empty tail; an un-pruned old segment contributes no records
+    above the image's seq).
 
-    Recovery loads the newest image that decodes (falling back past
-    corrupt ones), replays the surviving tail records in sequence order
-    minus the quarantined ones, and reports how many records were
+    Recovery takes the newest image whose checksum holds (falling back
+    past corrupt ones), replays the surviving tail records in sequence
+    order minus the quarantined ones, and reports how many records were
     replayed and truncated — {!Incr.of_image} plus this tail reproduces
     the pre-crash store {e exactly} (same null ids, same iteration
     order), which is what makes post-recovery output byte-identical to
@@ -50,12 +54,13 @@ type record = Op of int * Incr.op | Quarantine of int
 type t
 
 (** [create ~dir image] — start a fresh WAL: make [dir] (and parents) if
-    needed, write [image-0.json] from [image] (the post-chase,
-    pre-mutation store) and open segment [wal-0.log]. Raises
+    needed, write [image-0.json] from [image] (the {!Incr.image} bytes
+    of the post-chase, pre-mutation store) and open segment
+    [wal-0.log]. Raises
     [Invalid_argument] if [dir] already holds WAL files — recovering and
     overwriting are different intents ([--recover] vs a fresh
     directory). *)
-val create : dir:string -> Incr.image -> t
+val create : dir:string -> string -> t
 
 (** [reopen ~dir] — open the newest segment for appending after a
     {!recover} (creating it when the crash fell between image write and
@@ -67,14 +72,15 @@ val reopen : dir:string -> t
     contract above. *)
 val append : t -> record -> unit
 
-(** [rotate t ~seq image] — persist [image] as [image-<seq>.json], start
-    segment [wal-<seq>.log], prune older images and segments. *)
-val rotate : t -> seq:int -> Incr.image -> unit
+(** [rotate t ~seq image] — persist the {!Incr.image} bytes [image] as
+    [image-<seq>.json], start segment [wal-<seq>.log], fsync the
+    directory, prune older images and segments. *)
+val rotate : t -> seq:int -> string -> unit
 
 val close : t -> unit
 
 type recovery = {
-  rec_image : Incr.image;
+  rec_image : string;  (** the {!Incr.image} bytes, checksum verified *)
   rec_image_seq : int;
   rec_ops : (int * Incr.op) list;
       (** tail mutations to replay: seq above the image's, quarantined
@@ -88,16 +94,12 @@ type recovery = {
 }
 
 (** [recover ~dir] — read the directory back; [Error] with a one-line
-    diagnostic when no image decodes or a non-final record is corrupt
-    (a torn {e final} record is truncated, not an error). *)
+    diagnostic when no image passes its checksum or a non-final record
+    is corrupt (a torn {e final} record is truncated, not an error). An
+    unframed image — every image before version 3 — is refused as
+    such: a WAL directory is finished with the binary that wrote it. *)
 val recover : dir:string -> (recovery, string) result
 
 (** No images in [dir] (missing, empty, or never rotated): nothing to
     recover — callers fall back to a fresh start. *)
 val is_empty : dir:string -> bool
-
-(** Image codec, exposed for tests: [image_of_json (image_to_json ~seq
-    im) = Ok (seq, im)]. *)
-val image_to_json : seq:int -> Incr.image -> Obs.Json.t
-
-val image_of_json : Obs.Json.t -> (int * Incr.image, string) result
