@@ -318,6 +318,151 @@ let test_pinned_restricted () =
     got_stats
 
 (* ------------------------------------------------------------------ *)
+(* Fixed oracle at scale: lubm-20 plus a four-rule join chain           *)
+(* ------------------------------------------------------------------ *)
+
+(* The example-sized literals above never reach a multi-level delta, a
+   join pivot or null numbering beyond a handful of ids. This program
+   does: lubm at 20 universities (3,080 base facts, existential rules
+   inventing nulls at three levels) plus a 200-edge [e]-path carrying
+   the guarded-full join chain [e(X,Y) -> p0(X)], [e(X,Y), pK(X) ->
+   pK+1(Y)] for K = 0..3. Its digests were produced by the sequential
+   engine on the Fact.t-keyed store and pin storage order with null ids,
+   s-levels, counters, trigger totals and a maintained store's image
+   bytes. *)
+let scale_sigma, scale_db =
+  let sigma, db = Guarded_core.Workload.lubm ~universities:20 () in
+  let chain =
+    tgd [ atom "e" [ v "X"; v "Y" ] ] [ atom "p0" [ v "X" ] ]
+    :: List.init 4 (fun k ->
+           tgd
+             [ atom "e" [ v "X"; v "Y" ]; atom (Fmt.str "p%d" k) [ v "X" ] ]
+             [ atom (Fmt.str "p%d" (k + 1)) [ v "Y" ] ])
+  in
+  let edge i j = fact "e" [ Fmt.str "a%d" i; Fmt.str "a%d" j ] in
+  ( sigma @ chain,
+    List.fold_left
+      (fun acc i -> Instance.add_fact (edge i (i + 1)) acc)
+      db (List.init 200 Fun.id) )
+
+(* The store's facts in storage order — predicates in intern order, each
+   relation oldest-first — rendered with their null ids. *)
+let storage_order idx =
+  let st = Engine.Index.symtab idx in
+  List.concat_map
+    (fun pid ->
+      let p = Engine.Symtab.extern_pred st pid in
+      List.rev_map (Fact.make p) (Engine.Index.tuples_of idx p))
+    (List.init (Engine.Symtab.pred_count st) Fun.id)
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let scale_chase ~policy =
+  Term.reset_nulls ();
+  let r = Chase.run ~engine:`Indexed ~policy scale_sigma scale_db in
+  let er = Option.get (Chase.engine_result r) in
+  let idx = Chase.index r in
+  let counters =
+    String.concat ","
+      (List.map
+         (fun (k, n) -> Fmt.str "%s=%d" k n)
+         (Obs.Metrics.counters (Engine.Index.metrics idx)))
+  in
+  let facts = storage_order idx in
+  let levels =
+    String.concat "\n"
+      (List.map
+         (fun f ->
+           Fmt.str "%d %a" (Option.value ~default:(-1) (Chase.level r f)) Fact.pp f)
+         facts)
+  in
+  ( List.length facts,
+    digest (String.concat "\n" (List.map (Fmt.str "%a" Fact.pp) facts)),
+    digest levels,
+    Fmt.str "fired=%d dismissed=%d max_level=%d saturated=%b per_level=%s %s"
+      er.Engine.Saturate.triggers_fired er.Engine.Saturate.triggers_dismissed
+      (Chase.max_level r) (Chase.saturated r)
+      (String.concat ";" (List.map string_of_int (Chase.facts_per_level r)))
+      counters )
+
+let test_pinned_scale_oblivious () =
+  let n, facts, levels, stats = scale_chase ~policy:Chase.Oblivious in
+  Alcotest.(check int) "fact count" 4274 n;
+  Alcotest.(check string) "storage order digest"
+    "43c527338a4dbdbd8030fbcb5f5e7e58" facts;
+  Alcotest.(check string) "s-level digest"
+    "e912c4555e1d6c1782da4f47eb95538d" levels;
+  Alcotest.(check string) "counters"
+    "fired=3714 dismissed=0 max_level=5 saturated=true \
+     per_level=960;840;639;518;197 \
+     index.duplicates=560,index.inserts=4274,index.probes=1597,index.removes=0,joiner.backtracks=0,joiner.candidates=5311"
+    stats
+
+let test_pinned_scale_restricted () =
+  let n, facts, levels, stats = scale_chase ~policy:Chase.Restricted in
+  Alcotest.(check int) "fact count" 3314 n;
+  Alcotest.(check string) "storage order digest"
+    "da70794e77e24c755205bf811677554f" facts;
+  Alcotest.(check string) "s-level digest"
+    "fe978f8de9fedfb7cfb58b1d6eeb71d7" levels;
+  Alcotest.(check string) "counters"
+    "fired=2314 dismissed=560 max_level=5 saturated=true \
+     per_level=720;600;399;278;197 \
+     index.duplicates=120,index.inserts=3314,index.probes=4471,index.removes=0,joiner.backtracks=0,joiner.candidates=5031"
+    stats
+
+(* A fixed 20-mutation log over the maintained store: chain cuts and
+   repairs (multi-level over-delete and re-derive), lubm base deletes
+   whose facts stay derivable, fresh students whose rules invent nulls,
+   and two no-ops. *)
+let scale_log =
+  let e i j = fact "e" [ Fmt.str "a%d" i; Fmt.str "a%d" j ] in
+  Incr.
+    [
+      Delete (e 50 51);
+      Insert (e 200 201);
+      Delete (fact "Prof" [ "prof_0_0_0" ]);
+      Insert (fact "Student" [ "student_new_0" ]);
+      Insert (fact "MemberOf" [ "student_new_0"; "dept_0_0" ]);
+      Delete (fact "Dept" [ "dept_1_1" ]);
+      Insert (e 50 51);
+      Delete (e 0 1);
+      Insert (e 900 0);
+      Insert (e 0 1);
+      Insert (fact "Teaches" [ "prof_3_1_2"; "course_3_1_2" ]);
+      Delete (fact "Teaches" [ "prof_3_1_2"; "course_3_1_2" ]);
+      Delete (fact "Student" [ "student_19_1_4" ]);
+      Insert (fact "Prof" [ "prof_new_0" ]);
+      Delete (fact "Takes" [ "student_7_0_2"; "course_7_0_0" ]);
+      Insert (e 120 7);
+      Delete (e 199 200);
+      Delete (fact "Student" [ "student_nobody" ]);
+      Insert (fact "Course" [ "course_new_0" ]);
+      Delete (e 120 7);
+    ]
+
+let test_pinned_scale_image () =
+  Term.reset_nulls ();
+  let t = Incr.create scale_sigma scale_db in
+  let effects =
+    List.map
+      (fun op ->
+        let e = Incr.apply t op in
+        Fmt.str "%b/%d/%d/%d/%d" e.Incr.e_noop e.Incr.e_repaired
+          e.Incr.e_overdeleted e.Incr.e_rederived e.Incr.e_deleted)
+      scale_log
+  in
+  Alcotest.(check string) "effects"
+    "false/0/12/0/12 false/6/0/0/0 false/0/6/1/5 false/7/0/0/0 false/1/0/0/0 \
+     false/0/1/1/0 false/12/0/0/0 false/0/6/0/6 false/3/0/0/0 false/9/0/0/0 \
+     true/0/0/0/0 false/0/5/1/4 false/0/7/0/7 false/6/0/0/0 false/2/4/1/3 \
+     false/1/0/0/0 false/0/9/0/9 true/0/0/0/0 false/3/0/0/0 false/10/16/5/1"
+    (String.concat " " effects);
+  Alcotest.(check string) "image digest"
+    "0d0548734d0177f4fe7e820eb1a35aaf"
+    (digest (Incr.image t))
+
+(* ------------------------------------------------------------------ *)
 (* Store-level semantics the consumers rely on                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -469,6 +614,12 @@ let () =
             test_pinned_oblivious;
           Alcotest.test_case "pinned restricted chase" `Quick
             test_pinned_restricted;
+          Alcotest.test_case "pinned chase at scale" `Quick
+            test_pinned_scale_oblivious;
+          Alcotest.test_case "pinned restricted chase at scale" `Quick
+            test_pinned_scale_restricted;
+          Alcotest.test_case "pinned maintained image at scale" `Quick
+            test_pinned_scale_image;
         ] );
       ( "semantics",
         [
