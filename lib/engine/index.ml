@@ -1,11 +1,11 @@
 (** Indexed fact store, columnar edition.
 
     Symbols are interned to dense ints ({!Symtab}) and each predicate's
-    tuples live in contiguous int columns ({!Vec}); posting lists and
-    the per-predicate insertion order are flat int vectors of packed row
-    handles, and membership is hash-partitioned over [n_shards] disjoint
-    sub-tables keyed by the interned fact key. See the interface for the
-    contract — the observable behaviour (iteration order, counters,
+    tuples live in contiguous int columns ({!Vec}), beside a column of
+    the rows' s-levels; posting lists and the per-predicate insertion
+    order are flat int vectors of packed row handles, and membership is
+    one hash table keyed by the interned fact key. See the interface for
+    the contract — the observable behaviour (iteration order, counters,
     probe accounting) is bit-compatible with the previous hash-of-lists
     representation:
 
@@ -30,13 +30,37 @@ let pack ~arity row = (arity lsl row_bits) lor row
 let arity_of_packed p = p lsr row_bits
 let row_of_packed p = p land row_mask
 
-(* Membership shards: the interned fact key hashes to one of [n_shards]
-   disjoint sub-tables, each owning its slice of the fact set. *)
-let n_shards = 16
+(* Interned keys ([| pid; cid1; …; cidn |] facts, [| rule; cid… |]
+   triggers) hashed by a mix of every cell. The stdlib table indexes its
+   buckets by the hash's low bits, so the final avalanche matters: any
+   bit of any cell must be able to reach them. *)
+module Key = struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
+    go 0
+
+  let hash (k : t) =
+    let h = ref (Array.length k) in
+    for i = 0 to Array.length k - 1 do
+      h := (!h lxor Array.unsafe_get k i) * 0x100000001b3
+    done;
+    let h = !h in
+    let h = (h lxor (h lsr 31)) * 0x3fb5d329728ea185 in
+    let h = (h lxor (h lsr 27)) * 0x21dadef4bc2dd44d in
+    (h lxor (h lsr 33)) land max_int
+end
+
+module Key_table = Hashtbl.Make (Key)
 
 type rel = {
   r_arity : int;
   r_cols : Vec.t array;  (* one column per argument position *)
+  r_levels : Vec.t;  (* s-level per row slot *)
   mutable r_rows : int;  (* row slots allocated, including freed ones *)
   r_free : Vec.t;  (* freed row slots, reused by the next insert *)
 }
@@ -54,7 +78,7 @@ type tables = { mutable entries : entry option array }
 type t = {
   symtab : Symtab.t;
   tabs : tables;
-  shards : (int array, int) Hashtbl.t array;  (* fact key -> packed row *)
+  members : int Key_table.t;  (* fact key -> packed row *)
   metrics : Obs.Metrics.t;
   (* counter handles, resolved once so the hot paths never do a name
      lookup *)
@@ -69,7 +93,7 @@ let create () =
   {
     symtab = Symtab.create ();
     tabs = { entries = Array.make 16 None };
-    shards = Array.init n_shards (fun _ -> Hashtbl.create 64);
+    members = Key_table.create 1024;
     metrics;
     c_probes = Obs.Metrics.counter metrics "index.probes";
     c_inserts = Obs.Metrics.counter metrics "index.inserts";
@@ -127,12 +151,11 @@ let key_find idx f =
         Some key
       with Unknown -> None)
 
-let shard_of idx key = idx.shards.(Hashtbl.hash key land (n_shards - 1))
-
 let mem f idx =
-  match key_find idx f with None -> false | Some key -> Hashtbl.mem (shard_of idx key) key
+  match key_find idx f with None -> false | Some key -> Key_table.mem idx.members key
 
-let size idx = Array.fold_left (fun acc sh -> acc + Hashtbl.length sh) 0 idx.shards
+let mem_key idx key = Key_table.mem idx.members key
+let size idx = Key_table.length idx.members
 
 let entry idx pid =
   let es = idx.tabs.entries in
@@ -166,6 +189,7 @@ let rel_of e arity =
         {
           r_arity = arity;
           r_cols = Array.init arity (fun _ -> Vec.create ());
+          r_levels = Vec.create ();
           r_rows = 0;
           r_free = Vec.create ~capacity:1 ();
         }
@@ -185,43 +209,62 @@ let posting_of tbl cid =
       Hashtbl.replace tbl cid v;
       v
 
-(** [insert f idx] — add [f]; [false] when it was already present. *)
-let insert f idx =
+(* File an absent key: a row slot (recycled when one is free), its
+   level, the relation order, one posting entry per position and the
+   membership entry, which keeps [key] itself. *)
+let add_row idx key ~level =
+  Obs.Metrics.incr idx.c_inserts;
+  let pid = key.(0) and arity = Array.length key - 1 in
+  let e = entry_of idx pid in
+  let r = rel_of e arity in
+  let row =
+    if Vec.length r.r_free > 0 then begin
+      let row = Vec.pop r.r_free in
+      for i = 0 to arity - 1 do
+        Vec.set r.r_cols.(i) row key.(i + 1)
+      done;
+      Vec.set r.r_levels row level;
+      row
+    end
+    else begin
+      let row = r.r_rows in
+      r.r_rows <- row + 1;
+      for i = 0 to arity - 1 do
+        Vec.push r.r_cols.(i) key.(i + 1)
+      done;
+      Vec.push r.r_levels level;
+      row
+    end
+  in
+  let packed = pack ~arity row in
+  Vec.push e.e_order packed;
+  for i = 0 to arity - 1 do
+    Vec.push (posting_of e.e_at.(i) key.(i + 1)) packed
+  done;
+  Key_table.add idx.members key packed
+
+let insert_key idx key ~level =
   Obs.Probe.hit "engine.insert";
-  let key = key_intern idx f in
-  let sh = shard_of idx key in
-  if Hashtbl.mem sh key then begin
+  if Key_table.mem idx.members key then begin
     Obs.Metrics.incr idx.c_duplicates;
     false
   end
   else begin
-    Obs.Metrics.incr idx.c_inserts;
-    let pid = key.(0) and arity = Array.length key - 1 in
-    let e = entry_of idx pid in
-    let r = rel_of e arity in
-    let row =
-      if Vec.length r.r_free > 0 then begin
-        let row = Vec.pop r.r_free in
-        for i = 0 to arity - 1 do
-          Vec.set r.r_cols.(i) row key.(i + 1)
-        done;
-        row
-      end
-      else begin
-        let row = r.r_rows in
-        r.r_rows <- row + 1;
-        for i = 0 to arity - 1 do
-          Vec.push r.r_cols.(i) key.(i + 1)
-        done;
-        row
-      end
-    in
-    let packed = pack ~arity row in
-    Vec.push e.e_order packed;
-    for i = 0 to arity - 1 do
-      Vec.push (posting_of e.e_at.(i) key.(i + 1)) packed
-    done;
-    Hashtbl.replace sh key packed;
+    add_row idx key ~level;
+    true
+  end
+
+(** [insert ?level f idx] — add [f]; [false] when it was already present.
+    The probe fires before [f]'s symbols are interned. *)
+let insert ?(level = 0) f idx =
+  Obs.Probe.hit "engine.insert";
+  let key = key_intern idx f in
+  if Key_table.mem idx.members key then begin
+    Obs.Metrics.incr idx.c_duplicates;
+    false
+  end
+  else begin
+    add_row idx key ~level;
     true
   end
 
@@ -233,12 +276,11 @@ let remove f idx =
   match key_find idx f with
   | None -> false
   | Some key -> (
-      let sh = shard_of idx key in
-      match Hashtbl.find_opt sh key with
+      match Key_table.find_opt idx.members key with
       | None -> false
       | Some packed ->
           Obs.Metrics.incr idx.c_removes;
-          Hashtbl.remove sh key;
+          Key_table.remove idx.members key;
           let pid = key.(0) and arity = Array.length key - 1 in
           let e = match entry idx pid with Some e -> e | None -> assert false in
           ignore (Vec.remove_value e.e_order packed);
@@ -256,6 +298,29 @@ let remove f idx =
           | None -> ());
           true)
 
+(* The level cell of a stored key's row. *)
+let level_cell idx key k =
+  match Key_table.find_opt idx.members key with
+  | None -> None
+  | Some packed -> (
+      match entry idx key.(0) with
+      | None -> None
+      | Some e -> (
+          match rel_find e (arity_of_packed packed) with
+          | None -> None
+          | Some r -> Some (k r.r_levels (row_of_packed packed))))
+
+let level idx f =
+  match key_find idx f with None -> None | Some key -> level_cell idx key Vec.get
+
+let set_level idx f l =
+  match key_find idx f with
+  | None -> invalid_arg "Index.set_level: fact not stored"
+  | Some key -> (
+      match level_cell idx key (fun v row -> Vec.set v row l) with
+      | Some () -> ()
+      | None -> invalid_arg "Index.set_level: fact not stored")
+
 let add f idx =
   ignore (insert f idx);
   idx
@@ -265,7 +330,9 @@ let of_instance inst =
   Instance.iter (fun f -> ignore (insert f idx)) inst;
   idx
 
-let decode_key idx key =
+let intern_fact = key_intern
+
+let fact_of_key idx key =
   let st = idx.symtab in
   Fact.make (Symtab.extern_pred st key.(0))
     (List.init (Array.length key - 1) (fun i -> Symtab.extern st key.(i + 1)))
@@ -293,14 +360,14 @@ let iter_rows idx f =
               for i = 0 to r.r_arity - 1 do
                 cells.(i) <- Vec.get r.r_cols.(i) row
               done;
-              f pid cells)
+              f pid (Vec.get r.r_levels row) cells)
             e.e_order)
     idx.tabs.entries
 
 let to_instance idx =
-  Array.fold_left
-    (fun acc sh -> Hashtbl.fold (fun key _ acc -> Instance.add_fact (decode_key idx key) acc) sh acc)
-    Instance.empty idx.shards
+  Key_table.fold
+    (fun key _ acc -> Instance.add_fact (fact_of_key idx key) acc)
+    idx.members Instance.empty
 
 (* Decode a vector of packed rows to tuples, most recently added first
    (prepending while walking in append order reverses it). *)
@@ -538,13 +605,15 @@ let fold_matches idx a (b : Homomorphism.binding) ~injective ~on_candidate ~on_f
    variable arguments resolve to slots of a caller-owned binding
    environment [benv] ([benv.(slot) >= 0] bound to that cell id, [-1]
    unbound). [c_trail] is private per-walk scratch: slots bound while
-   matching one candidate row, undone before the next. *)
+   matching one candidate row, undone before the next; [c_level] is the
+   s-level of the row being matched, for the callback to read. *)
 type catom = {
   c_pid : int;  (* interned predicate id; -1 = unknown predicate *)
   c_arity : int;
   c_cells : int array;  (* >= 0 const cid; -1 unknown const; -2 variable *)
   c_slots : int array;  (* per position: benv slot when c_cells.(i) = -2 *)
   c_trail : int array;
+  mutable c_level : int;
 }
 
 let compile_atom idx ~slot a =
@@ -564,7 +633,51 @@ let compile_atom idx ~slot a =
     c_cells = cells;
     c_slots = slots;
     c_trail = Array.make (max arity 1) 0;
+    c_level = 0;
   }
+
+let catom_level ca = ca.c_level
+let catom_pid ca = ca.c_pid
+
+(* Bind [ca] against a stored key [| pid; cid… |] in place: constants
+   must agree, bound slots must agree, unbound slots take the cell. On a
+   mismatch the slots bound so far are undone. *)
+let catom_match_key ca ~benv (key : int array) =
+  Array.length key = ca.c_arity + 1
+  && key.(0) = ca.c_pid
+  &&
+  let trail = ca.c_trail in
+  let nt = ref 0 and ok = ref true and i = ref 0 in
+  while !ok && !i < ca.c_arity do
+    let cell = Array.unsafe_get key (!i + 1) in
+    let c = Array.unsafe_get ca.c_cells !i in
+    if c >= -1 then begin
+      if cell <> c then ok := false
+    end
+    else begin
+      let s = Array.unsafe_get ca.c_slots !i in
+      let cur = Array.unsafe_get benv s in
+      if cur >= 0 then begin
+        if cell <> cur then ok := false
+      end
+      else begin
+        benv.(s) <- cell;
+        trail.(!nt) <- s;
+        incr nt
+      end
+    end;
+    incr i
+  done;
+  if not !ok then
+    for j = 0 to !nt - 1 do
+      benv.(trail.(j)) <- -1
+    done;
+  !ok
+
+let catom_clear ca ~benv =
+  for i = 0 to ca.c_arity - 1 do
+    if Array.unsafe_get ca.c_cells i = -2 then benv.(Array.unsafe_get ca.c_slots i) <- -1
+  done
 
 (* The effective pattern id of position [i] under [benv], and whether the
    position counts as bound — mirrors the [cid >= -1] convention of
@@ -687,7 +800,10 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
                   end;
                   incr i
                 done;
-                if !ok then begin if f arg then stopped := true end
+                if !ok then begin
+                  ca.c_level <- Vec.get r.r_levels row;
+                  if f arg then stopped := true
+                end
                 else on_fail ();
                 for j = 0 to !nt - 1 do
                   benv.(trail.(j)) <- -1
@@ -696,12 +812,13 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
             done;
             !stopped)
 
-(* Allocated capacity of the store's flat vectors, in words — the
-   capacity-leak regression tests assert this stays put under
-   insert/delete churn. Hash-table buckets are not counted (stdlib
-   tables expose no capacity), but every growable vector is. *)
+(* Allocated capacity of the store, in words — the capacity-leak
+   regression tests assert this stays put under insert/delete churn:
+   every growable vector, plus one word per bucket of the membership
+   table and of every posting table. *)
 let capacity_words idx =
   let vec v = Vec.capacity v in
+  let buckets tbl = (Hashtbl.stats tbl).Hashtbl.num_buckets in
   Array.fold_left
     (fun acc e ->
       match e with
@@ -711,10 +828,16 @@ let capacity_words idx =
           let acc =
             List.fold_left
               (fun acc r ->
-                Array.fold_left (fun acc col -> acc + vec col) (acc + vec r.r_free) r.r_cols)
+                Array.fold_left
+                  (fun acc col -> acc + vec col)
+                  (acc + vec r.r_free + vec r.r_levels)
+                  r.r_cols)
               acc e.e_rels
           in
           Array.fold_left
-            (fun acc tbl -> Hashtbl.fold (fun _ v acc -> acc + vec v) tbl acc)
+            (fun acc tbl -> Hashtbl.fold (fun _ v acc -> acc + vec v) tbl (acc + buckets tbl))
             acc e.e_at)
-    0 idx.tabs.entries
+    (Key_table.stats idx.members).Hashtbl.num_buckets
+    idx.tabs.entries
+
+let membership_stats idx = Key_table.stats idx.members

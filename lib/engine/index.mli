@@ -8,6 +8,10 @@
     instead of the whole relation — the O(1)-per-candidate retrieval the
     semi-naive chase and the {!Joiner} build on.
 
+    Every stored fact carries its s-level (Lemma A.1) in a column beside
+    its row: the chase writes it on insert, maintenance rewrites it, and
+    {!iter_rows} reads it back without a fact being built.
+
     The API is immutable in style — {!add} returns the store — but the
     store shares its internal hash tables: use it linearly (the returned
     handle supersedes the argument). Conversion to and from
@@ -17,6 +21,11 @@ open Relational
 open Relational.Term
 
 type t
+
+(** Hash tables keyed by interned int arrays — fact keys
+    [[| pid; cid1; …; cidn |]] and trigger keys — hashing a mix of every
+    cell. Membership is one such table. *)
+module Key_table : Hashtbl.S with type key = int array
 
 (** A fresh empty store. *)
 val create : unit -> t
@@ -29,10 +38,11 @@ val to_instance : t -> Instance.t
 
 (** [iter_rows idx f] — the store's rows in {e storage order}:
     predicates in intern order, each relation's live rows oldest-first
-    (append order of the surviving posting entries). [f pid cells] sees
-    the predicate id and the row's symbol ids ([cells.(i)] for argument
-    [i], see {!Symtab}) without a fact being materialised; [cells] is
-    scratch refilled for the next row, so copy it to keep it.
+    (append order of the surviving posting entries). [f pid level cells]
+    sees the predicate id, the row's s-level and its symbol ids
+    ([cells.(i)] for argument [i], see {!Symtab}) without a fact being
+    materialised; [cells] is scratch refilled for the next row, so copy
+    it to keep it.
     Inserting the rows' facts into a fresh store whose symbol table
     interns the same symbols in the same order, in this order,
     reproduces this store's iteration order exactly — posting lists and
@@ -40,15 +50,40 @@ val to_instance : t -> Instance.t
     trajectory-faithful recovery of a maintained store needs (row
     handles and free-list state may differ; neither is observable
     through the matching API). *)
-val iter_rows : t -> (int -> int array -> unit) -> unit
+val iter_rows : t -> (int -> int -> int array -> unit) -> unit
 
 (** [add f idx] — file [f] under every argument position. No-op when the
     fact is already present. Mutates [idx] in place and returns it. *)
 val add : Fact.t -> t -> t
 
-(** [insert f idx] — like {!add}, but reports whether the fact was new
-    (a single membership probe; the engine's hot path). *)
-val insert : Fact.t -> t -> bool
+(** [insert ?level f idx] — like {!add}, but reports whether the fact
+    was new (a single membership probe). A new fact is stored with
+    s-level [level] (default 0); a present one keeps its own. *)
+val insert : ?level:int -> Fact.t -> t -> bool
+
+(** [insert_key idx key ~level] — {!insert} for an interned fact key
+    [[| pid; cid1; …; cidn |]] whose ids come from {!symtab}: the
+    chase's hot path, which grounds rule heads straight into keys. When
+    the key is new the store keeps [key] itself, so the caller must not
+    mutate it afterwards. Hits ["engine.insert"] like {!insert}. *)
+val insert_key : t -> int array -> level:int -> bool
+
+(** [mem_key idx key] — is the interned fact key stored? *)
+val mem_key : t -> int array -> bool
+
+(** [intern_fact idx f] — [f]'s key, interning its predicate and then
+    its arguments left to right. *)
+val intern_fact : t -> Fact.t -> int array
+
+(** [fact_of_key idx key] — the fact an interned key spells. *)
+val fact_of_key : t -> int array -> Fact.t
+
+(** [level idx f] — the s-level of a stored fact; [None] when absent. *)
+val level : t -> Fact.t -> int option
+
+(** [set_level idx f l] — overwrite a stored fact's s-level.
+    Raises [Invalid_argument] when [f] is not stored. *)
+val set_level : t -> Fact.t -> int -> unit
 
 (** [remove f idx] — delete [f] from the store and prune every posting
     list it was filed under; [false] when it was not present. Counts
@@ -59,7 +94,7 @@ val remove : Fact.t -> t -> bool
 
 val mem : Fact.t -> t -> bool
 
-(** Number of (distinct) facts. *)
+(** Number of (distinct) facts, in O(1). *)
 val size : t -> int
 
 (** All tuples of predicate [p] (most recently added first). *)
@@ -134,6 +169,23 @@ val compile_atom : t -> slot:(string -> int) -> Atom.t -> catom
 val catom_unbound : catom -> benv:int array -> bool
 (** Does the atom still contain a variable unbound in [benv]? *)
 
+val catom_match_key : catom -> benv:int array -> int array -> bool
+(** [catom_match_key ca ~benv key] — match [ca] against an interned
+    fact key, binding its unbound variables in [benv]. On a mismatch
+    (arity, predicate, a constant or a bound variable) [benv] is left as
+    it was; on a match the new bindings stay, for {!catom_clear}. *)
+
+val catom_clear : catom -> benv:int array -> unit
+(** Unbind every variable slot of [ca] in [benv] — undoes
+    {!catom_match_key} when [ca] was the first atom bound. *)
+
+val catom_pid : catom -> int
+(** The atom's predicate id; [-1] when the store never interned it. *)
+
+val catom_level : catom -> int
+(** The s-level of the row [ca] matches, valid inside the callback of
+    {!fold_catom}. *)
+
 val catom_count : t -> catom -> benv:int array -> int
 (** {!candidate_count}, compiled: the same bucket sizes and
     first-strictly-smaller tie-breaking, with bound positions read from
@@ -166,10 +218,15 @@ val probes : t -> int
 (** The store's symbol table (shared with {!reader} views). *)
 val symtab : t -> Symtab.t
 
-(** Allocated capacity of the store's flat vectors, in words; stable
-    under insert/delete churn thanks to free-list row reuse (asserted by
-    the capacity-leak regression tests). *)
+(** Allocated capacity of the store in words: its flat vectors plus one
+    word per bucket of the membership and posting tables. Stable under
+    insert/delete churn thanks to free-list row reuse (asserted by the
+    capacity-leak regression tests). *)
 val capacity_words : t -> int
+
+(** Bucket statistics of the membership table (chain lengths are what
+    the hash's spread decides). *)
+val membership_stats : t -> Hashtbl.statistics
 
 (** The store's metrics registry: [index.probes], [index.inserts],
     [index.duplicates], [index.removes], plus the [joiner.*] counters the

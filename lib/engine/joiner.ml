@@ -53,52 +53,61 @@ let fold ?(injective = false) ?(init = VarMap.empty) ?delta atoms idx f acc =
           end)
         acc dfacts
 
-(* Compiled satisfiability: [exists ~init:benv] without the probe hit, over a
-   pre-compiled atom array, for the enumerator's per-answer witness
-   checks. Node-for-node identical to [fold]+[Found] — same cheapest
-   -first selection (first strictly-smaller wins), same pending order
-   (in-place rotation keeps the unselected suffix in original relative
-   order, as List.filteri did), same joiner.candidates/backtracks and
-   index.probes accounting, same early exit on the first full match —
-   but bindings live in [benv] and the recursion allocates nothing per
-   node beyond one closure per call. The segment walked is
+(* Compiled search: [fold] without the probe hit, over a pre-compiled
+   atom array, for the chase's joins and the enumerator's per-answer
+   witness checks. Node-for-node identical to [fold] — same
+   cheapest-first selection (first strictly-smaller wins), same pending
+   order (in-place rotation keeps the unselected suffix in original
+   relative order, as List.filteri did), same joiner.candidates/
+   backtracks (through [on_candidate]/[on_fail]) and index.probes
+   accounting — but bindings live in [benv] and the recursion allocates
+   nothing per node beyond one closure per call. The segment walked is
    [atoms.(lo..n)); both the rotation and the bindings are undone before
-   returning. Counters resolve per call, exactly where [fold] resolves
-   them, so a run registers [joiner.*] iff it performs a witness check. *)
-let exists_compiled idx (atoms : Index.catom array) ~benv lo n =
+   returning. [f ()] runs at every full match; [true] stops the search
+   and is returned. *)
+let search_compiled idx (atoms : Index.catom array) ~benv ~on_candidate ~on_fail lo n
+    (f : unit -> bool) =
+  let rec sat lo =
+    if lo >= n then f ()
+    else begin
+      let bi = ref lo and bc = ref max_int in
+      for i = lo to n - 1 do
+        let c = Index.catom_count idx atoms.(i) ~benv in
+        if c < !bc then begin
+          bi := i;
+          bc := c
+        end
+      done;
+      let sel = atoms.(!bi) in
+      for j = !bi downto lo + 1 do
+        atoms.(j) <- atoms.(j - 1)
+      done;
+      atoms.(lo) <- sel;
+      let hit =
+        Index.fold_catom idx sel ~benv ~on_candidate ~on_fail
+          (fun lo -> sat lo)
+          (lo + 1)
+      in
+      for j = lo to !bi - 1 do
+        atoms.(j) <- atoms.(j + 1)
+      done;
+      atoms.(!bi) <- sel;
+      hit
+    end
+  in
+  sat lo
+
+(* Counters resolve per call, exactly where [fold] resolves them, so a
+   run registers [joiner.*] iff it performs a witness check. *)
+let exists_compiled idx atoms ~benv lo n =
   let m = Index.metrics idx in
   let c_candidates = Obs.Metrics.counter m "joiner.candidates" in
   let c_backtracks = Obs.Metrics.counter m "joiner.backtracks" in
-  let on_candidate () = Obs.Metrics.incr c_candidates in
-  let on_fail () = Obs.Metrics.incr c_backtracks in
-  let rec sat lo =
-    lo >= n
-    ||
-    let bi = ref lo and bc = ref max_int in
-    for i = lo to n - 1 do
-      let c = Index.catom_count idx atoms.(i) ~benv in
-      if c < !bc then begin
-        bi := i;
-        bc := c
-      end
-    done;
-    let sel = atoms.(!bi) in
-    for j = !bi downto lo + 1 do
-      atoms.(j) <- atoms.(j - 1)
-    done;
-    atoms.(lo) <- sel;
-    let hit =
-      Index.fold_catom idx sel ~benv ~on_candidate ~on_fail
-        (fun lo -> sat lo)
-        (lo + 1)
-    in
-    for j = lo to !bi - 1 do
-      atoms.(j) <- atoms.(j + 1)
-    done;
-    atoms.(!bi) <- sel;
-    hit
-  in
-  sat lo
+  search_compiled idx atoms ~benv
+    ~on_candidate:(fun () -> Obs.Metrics.incr c_candidates)
+    ~on_fail:(fun () -> Obs.Metrics.incr c_backtracks)
+    lo n
+    (fun () -> true)
 
 exception Found of binding
 

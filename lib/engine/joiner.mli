@@ -56,6 +56,24 @@ val exists :
     ["engine.join"] probe — the enumerator's witness-check shape. *)
 val exists_compiled : Index.t -> Index.catom array -> benv:int array -> int -> int -> bool
 
+(** [search_compiled idx atoms ~benv ~on_candidate ~on_fail lo n f] —
+    the search behind {!exists_compiled}, calling [f ()] at every full
+    match of the segment [atoms.(lo..n)) ] (bindings visible in [benv])
+    until it returns [true], which is returned. Candidates and failed
+    matches are reported through [on_candidate]/[on_fail] (the chase
+    files them as [joiner.*]); [atoms] and [benv] are restored before
+    returning. Node-for-node the uncompiled {!fold}. *)
+val search_compiled :
+  Index.t ->
+  Index.catom array ->
+  benv:int array ->
+  on_candidate:(unit -> unit) ->
+  on_fail:(unit -> unit) ->
+  int ->
+  int ->
+  (unit -> bool) ->
+  bool
+
 (** All homomorphisms (exponentially many in general). *)
 val all :
   ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->

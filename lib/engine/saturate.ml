@@ -4,6 +4,18 @@
     budget cutoffs — while enumerating each trigger exactly once, at
     the level where the last fact of its body appears.
 
+    The loop runs on interned ids end to end. Each pass compiles every
+    rule body to {!Index.catom}s, one array per pivot (the pivot first,
+    the other body atoms after it in body order); the pivot is matched
+    against the delta's interned keys and the rest is joined through
+    {!Joiner.search_compiled} — the enumerator's machinery — into an int
+    binding environment whose slots [0 .. nb-1] are the rule's body
+    variables in sorted order and [nb ..] its existentials. A trigger's
+    key is [[| rule; cid per body variable |]], the naive chase's key
+    interned. Heads are grounded straight into fact keys and filed with
+    {!Index.insert_key} together with their s-level; a [Fact.t] is only
+    built for an [on_fire] firing or an [on_pass] snapshot.
+
     Crash safety: the state at a clean pass boundary is fully described by
     the facts with their s-levels plus a handful of scalars — the delta of
     the next pass is exactly the facts of the last level, and a trigger is
@@ -30,7 +42,6 @@ type snapshot = {
 
 type result = {
   index : Index.t;
-  level_of : (Fact.t, int) Hashtbl.t;
   saturated : bool;
   max_level : int;
   outcome : Obs.Budget.outcome;
@@ -42,48 +53,110 @@ type result = {
 
 type firing = {
   fire_rule : int;
-  fire_key : int * const option list;
+  fire_key : int array;
   fire_body : Fact.t list;
   fire_outs : (Fact.t * bool) list;
 }
 
-(* Key identifying a trigger: rule index + body-variable image (same shape
-   as the naive chase's key, so the two engines dismiss identically). *)
-let trigger_key i (b : Homomorphism.binding) body_vars =
-  (i, List.map (fun x -> VarMap.find_opt x b) body_vars)
+(* An atom argument resolved against the rule's slots. *)
+type arg = Cst of const | Slot of int
 
-(* Group the delta by predicate so each pivot only sees matching facts. *)
-let group_by_pred facts =
+(* A head atom, grounded straight into a fact key. Its predicate and
+   constant ids are interned at the first grounding — exactly when the
+   fact-building path interned them — and cached from then on. *)
+type head = {
+  h_pred : string;
+  mutable h_pid : int;  (* -1 until interned *)
+  h_args : arg array;
+  h_cids : int array;  (* interned constant per [Cst] position, or -1 *)
+}
+
+(* A rule with its slot assignment; [k_pivots]/[k_heads] are recompiled
+   every pass, since a compiled atom resolves symbols once and the
+   firing phase interns new ones. *)
+type crule = {
+  k_index : int;
+  k_rule : rule;
+  k_nbody : int;  (* body variables: slots [0 .. k_nbody - 1] *)
+  k_nexist : int;  (* existentials: slots [k_nbody ..] *)
+  k_slot : string -> int;
+  k_body : (string * arg array) list;  (* for [on_fire] firings *)
+  k_head : head array;
+  k_key : int array;  (* trigger-key scratch *)
+  mutable k_pivots : Index.catom array array;
+  mutable k_heads : Index.catom array;
+}
+
+let compile_rule i r =
+  let vars_of atoms =
+    List.fold_left (fun acc a -> VarSet.union (Atom.vars a) acc) VarSet.empty atoms
+  in
+  let bv = vars_of r.body in
+  let ev = VarSet.diff (vars_of r.head) bv in
+  let slots = Hashtbl.create 8 in
+  List.iteri (fun s x -> Hashtbl.replace slots x s) (VarSet.elements bv @ VarSet.elements ev);
+  let slot x = Hashtbl.find slots x in
+  let args a =
+    Array.of_list
+      (List.map (function Const c -> Cst c | Var x -> Slot (slot x)) (Atom.args a))
+  in
+  let nbody = VarSet.cardinal bv in
+  {
+    k_index = i;
+    k_rule = r;
+    k_nbody = nbody;
+    k_nexist = VarSet.cardinal ev;
+    k_slot = slot;
+    k_body = List.map (fun a -> (Atom.pred a, args a)) r.body;
+    k_head =
+      Array.of_list
+        (List.map
+           (fun a ->
+             let h_args = args a in
+             {
+               h_pred = Atom.pred a;
+               h_pid = -1;
+               h_args;
+               h_cids = Array.make (Array.length h_args) (-1);
+             })
+           r.head);
+    k_key = Array.make (nbody + 1) i;
+    k_pivots = [||];
+    k_heads = [||];
+  }
+
+(* [pivots] for this pass: per body position, the body compiled with that
+   atom first and the others after it in body order; a predicate
+   repeated in the body is pivoted once per occurrence (the trigger-key
+   table deduplicates the bindings). *)
+let compile_pass idx k =
+  let slot = k.k_slot in
+  let body = Array.of_list (List.map (Index.compile_atom idx ~slot) k.k_rule.body) in
+  let n = Array.length body in
+  k.k_pivots <-
+    Array.init n (fun j ->
+        Array.init n (fun i ->
+            if i = 0 then body.(j) else if i <= j then body.(i - 1) else body.(i)));
+  k.k_heads <- Array.of_list (List.map (Index.compile_atom idx ~slot) k.k_rule.head)
+
+(* The delta: interned keys with their s-levels, grouped by predicate id.
+   Each group is its source list reversed, the order the fact-list
+   grouping always had (it decides firing order, hence null ids). *)
+let group_delta entries =
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun f ->
-      let cur = try Hashtbl.find tbl (Fact.pred f) with Not_found -> [] in
-      Hashtbl.replace tbl (Fact.pred f) (f :: cur))
-    facts;
+    (fun ((key, _) as e) ->
+      let pid = key.(0) in
+      Hashtbl.replace tbl pid (e :: Option.value ~default:[] (Hashtbl.find_opt tbl pid)))
+    entries;
   tbl
 
-(* [pivots body] — [(pivot, body reordered pivot-first)] for each body
-   position; a predicate repeated in the body is pivoted once per
-   occurrence (the per-pass key set deduplicates the bindings). *)
-let pivots body =
-  List.mapi
-    (fun i a -> (a, a :: List.filteri (fun j _ -> j <> i) body))
-    body
-
-(* Instantiate an atom whose variables are all bound, straight to a fact
-   (no intermediate ground atom). *)
-let ground (b : Homomorphism.binding) a =
-  Fact.make (Atom.pred a)
-    (List.map
-       (function Const c -> c | Var x -> VarMap.find x b)
-       (Atom.args a))
-
 (* The resumable state threaded into the driver: either a fresh run over a
-   database or the reconstruction of a checkpointed boundary. *)
+   database or the reconstruction of a checkpointed boundary. [i_delta]
+   lists the last level's facts, as keys with their levels. *)
 type init = {
   i_idx : Index.t;
-  i_level_of : (Fact.t, int) Hashtbl.t;
-  i_delta : Fact.t list;
+  i_delta : (int array * int) list;
   i_level : int;
   i_saturated : bool;
   i_first_pass : bool;
@@ -93,25 +166,19 @@ type init = {
 }
 
 let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
-  let rules = Array.of_list rules in
-  let info =
-    Array.map
-      (fun r ->
-        let vars_of atoms =
-          List.fold_left
-            (fun acc a -> VarSet.union (Atom.vars a) acc)
-            VarSet.empty atoms
-        in
-        let bv = vars_of r.body and hv = vars_of r.head in
-        ( VarSet.elements bv,
-          VarSet.elements (VarSet.diff hv bv),
-          VarSet.inter bv hv,
-          pivots r.body ))
-      rules
-  in
   let idx = init.i_idx in
-  let level_of = init.i_level_of in
-  let fired = Hashtbl.create 256 in
+  let st = Index.symtab idx in
+  let m = Index.metrics idx in
+  let rules = Array.of_list (List.mapi compile_rule rules) in
+  let benv =
+    Array.make
+      (Array.fold_left (fun n k -> max n (k.k_nbody + k.k_nexist)) 1 rules)
+      (-1)
+  in
+  (* existential scratch: the fresh null and its id once interned *)
+  let nexist = Array.fold_left (fun n k -> max n k.k_nexist) 1 rules in
+  let nulls = Array.make nexist (Named "") and null_ids = Array.make nexist (-1) in
+  let fired = Index.Key_table.create 1024 in
   let triggers_fired = ref init.i_fired
   and triggers_dismissed = ref init.i_dismissed in
   let facts_per_level = ref init.i_fpl in
@@ -122,72 +189,127 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
   let violation = ref None in
   let overflow () = !violation <> None in
   let take_snapshot () =
+    let facts = ref [] in
+    Index.iter_rows idx (fun pid l cells ->
+        facts := (Index.fact_of_key idx (Array.append [| pid |] cells), l) :: !facts);
     {
-      snap_facts = Hashtbl.fold (fun f l acc -> (f, l) :: acc) level_of [];
+      snap_facts = List.rev !facts;
       snap_level = !level;
       snap_saturated = !saturated;
       snap_triggers_fired = !triggers_fired;
       snap_triggers_dismissed = !triggers_dismissed;
-      snap_counters = Obs.Metrics.counters (Index.metrics idx);
+      snap_counters = Obs.Metrics.counters m;
     }
+  in
+  let ground_body k =
+    List.map
+      (fun (p, args) ->
+        Fact.make p
+          (Array.to_list
+             (Array.map (function Cst c -> c | Slot s -> Symtab.extern st benv.(s)) args)))
+      k.k_body
+  in
+  (* The fact key of head [h] under the firing's bindings. Interning
+     follows the fact-building order — predicate, then arguments left to
+     right — so symbol ids come out as they always did. *)
+  let head_key k h =
+    if h.h_pid < 0 then h.h_pid <- Symtab.intern_pred st h.h_pred;
+    let args = h.h_args in
+    let key = Array.make (Array.length args + 1) h.h_pid in
+    for i = 0 to Array.length args - 1 do
+      key.(i + 1) <-
+        (match args.(i) with
+        | Slot s when s < k.k_nbody -> benv.(s)
+        | Slot s ->
+            let e = s - k.k_nbody in
+            if null_ids.(e) < 0 then null_ids.(e) <- Symtab.intern st nulls.(e);
+            null_ids.(e)
+        | Cst c ->
+            if h.h_cids.(i) < 0 then h.h_cids.(i) <- Symtab.intern st c;
+            h.h_cids.(i))
+    done;
+    key
   in
   while (not !saturated) && not (overflow ()) do
     Obs.Probe.hit "engine.pass";
-    match
-      Obs.Budget.check budget ~facts:(Hashtbl.length level_of)
-        ~level:(!level + 1)
-    with
+    match Obs.Budget.check budget ~facts:(Index.size idx) ~level:(!level + 1) with
     | Some v -> violation := Some v
     | None ->
         let lspan = Obs.Span.enter span "level" in
         let pass_no = !level + 1 in
         let level_fired = ref 0 and level_dismissed = ref 0 in
-        let delta_by_pred = group_by_pred !delta in
-        let pending = Hashtbl.create 64 in
+        let delta_by_pid = group_delta !delta in
         let new_triggers = ref [] in
-        let consider i b =
-          let body_vars, _, frontier, _ = info.(i) in
-          let key = trigger_key i b body_vars in
-          if not (Hashtbl.mem fired key || Hashtbl.mem pending key) then begin
+        (* [benv] holds a full body binding; [body_level] is the highest
+           s-level among the body's facts *)
+        let consider k body_level =
+          let key = k.k_key in
+          for s = 0 to k.k_nbody - 1 do
+            key.(s + 1) <- benv.(s)
+          done;
+          if not (Index.Key_table.mem fired key) then begin
+            let key = Array.copy key in
             let active =
               match policy with
               | Oblivious -> true
               | Restricted ->
-                  let init =
-                    VarMap.filter (fun x _ -> VarSet.mem x frontier) b
-                  in
-                  not (Joiner.exists ~init rules.(i).head idx)
+                  Obs.Probe.hit "engine.join";
+                  not
+                    (Joiner.exists_compiled idx k.k_heads ~benv 0
+                       (Array.length k.k_heads))
             in
-            if active then begin
-              Hashtbl.replace pending key ();
-              new_triggers := (i, b, key) :: !new_triggers
-            end
+            Index.Key_table.replace fired key ();
+            if active then new_triggers := (k, key, body_level) :: !new_triggers
             else begin
               incr triggers_dismissed;
-              incr level_dismissed;
-              Hashtbl.replace fired key ()
+              incr level_dismissed
             end
           end
         in
-        Array.iteri
-          (fun i r ->
-            if r.body = [] then begin
+        Array.iter
+          (fun k ->
+            if k.k_rule.body = [] then begin
               (* bodiless rules have a single (empty) trigger; it exists
                  from the start, so only the first pass needs to consider
                  it *)
-              if !first_pass then consider i VarMap.empty
+              if !first_pass then begin
+                compile_pass idx k;
+                consider k 0
+              end
             end
-            else
-              let _, _, _, pvs = info.(i) in
-              List.iter
-                (fun (pivot, reordered) ->
-                  match Hashtbl.find_opt delta_by_pred (Atom.pred pivot) with
+            else begin
+              compile_pass idx k;
+              Array.iter
+                (fun atoms ->
+                  let pivot = atoms.(0) and n = Array.length atoms in
+                  match Hashtbl.find_opt delta_by_pid (Index.catom_pid pivot) with
                   | None -> ()
-                  | Some dfacts ->
-                      Joiner.fold ~delta:dfacts reordered idx
-                        (fun b () -> consider i b)
-                        ())
-                pvs)
+                  | Some entries ->
+                      Obs.Probe.hit "engine.join";
+                      let c_candidates = Obs.Metrics.counter m "joiner.candidates" in
+                      let c_backtracks = Obs.Metrics.counter m "joiner.backtracks" in
+                      let on_candidate () = Obs.Metrics.incr c_candidates in
+                      let on_fail () = Obs.Metrics.incr c_backtracks in
+                      List.iter
+                        (fun (key, l) ->
+                          on_candidate ();
+                          if Index.catom_match_key pivot ~benv key then begin
+                            ignore
+                              (Joiner.search_compiled idx atoms ~benv ~on_candidate ~on_fail 1 n
+                                 (fun () ->
+                                   let bl = ref l in
+                                   for i = 1 to n - 1 do
+                                     let li = Index.catom_level atoms.(i) in
+                                     if li > !bl then bl := li
+                                   done;
+                                   consider k !bl;
+                                   false));
+                            Index.catom_clear pivot ~benv
+                          end
+                          else on_fail ())
+                        entries)
+                k.k_pivots
+            end)
           rules;
         first_pass := false;
         if !new_triggers = [] then saturated := true
@@ -196,53 +318,43 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
           let new_delta = ref [] in
           let new_count = ref 0 in
           List.iter
-            (fun (i, b, key) ->
+            (fun (k, key, body_level) ->
               if not (overflow ()) then begin
-                Hashtbl.replace fired key ();
                 incr triggers_fired;
                 incr level_fired;
-                let r = rules.(i) in
-                let _, existentials, _, _ = info.(i) in
-                let body_facts = List.map (ground b) r.body in
-                let body_level =
-                  List.fold_left
-                    (fun acc f ->
-                      max acc (try Hashtbl.find level_of f with Not_found -> 0))
-                    0 body_facts
-                in
-                let full_binding =
-                  List.fold_left
-                    (fun acc z -> VarMap.add z (fresh_null ()) acc)
-                    b existentials
-                in
+                for s = 0 to k.k_nbody - 1 do
+                  benv.(s) <- key.(s + 1)
+                done;
+                for e = 0 to k.k_nexist - 1 do
+                  nulls.(e) <- fresh_null ();
+                  null_ids.(e) <- -1
+                done;
                 let land_head h =
-                  let f = ground full_binding h in
-                  let fresh = Index.insert f idx in
+                  let hk = head_key k h in
+                  let fresh = Index.insert_key idx hk ~level:(body_level + 1) in
                   if fresh then begin
-                    Hashtbl.replace level_of f (body_level + 1);
                     incr new_count;
-                    new_delta := f :: !new_delta
+                    new_delta := (hk, body_level + 1) :: !new_delta
                   end;
-                  (f, fresh)
+                  (hk, fresh)
                 in
                 (match on_fire with
-                | None -> List.iter (fun h -> ignore (land_head h)) r.head
+                | None -> Array.iter (fun h -> ignore (land_head h)) k.k_head
                 | Some cb ->
-                    let outs = List.map land_head r.head in
+                    let outs = List.map land_head (Array.to_list k.k_head) in
                     cb
                       {
-                        fire_rule = i;
+                        fire_rule = k.k_index;
                         fire_key = key;
-                        fire_body = body_facts;
-                        fire_outs = outs;
+                        fire_body = ground_body k;
+                        fire_outs =
+                          List.map (fun (hk, fresh) -> (Index.fact_of_key idx hk, fresh)) outs;
                       });
+                Array.fill benv 0 k.k_nbody (-1);
                 (* the budget is re-checked trigger-atomically: the
                    overflowing trigger's whole head lands (matching the
                    naive loop), remaining triggers are skipped *)
-                match
-                  Obs.Budget.check budget ~facts:(Hashtbl.length level_of)
-                    ~level:!level
-                with
+                match Obs.Budget.check budget ~facts:(Index.size idx) ~level:!level with
                 | Some v -> violation := Some v
                 | None -> ()
               end)
@@ -273,7 +385,6 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
   in
   {
     index = idx;
-    level_of;
     saturated = !saturated;
     max_level = !level;
     outcome;
@@ -288,16 +399,21 @@ let make_span obs =
   | Some parent -> Obs.Span.enter parent "saturate"
   | None -> Obs.Span.root "saturate"
 
+(* Delta entries for stored facts: their keys and current levels. *)
+let stored_delta idx facts =
+  List.map
+    (fun f ->
+      (Index.intern_fact idx f, Option.value ~default:0 (Index.level idx f)))
+    facts
+
 let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
     ?on_fire rules db =
   let span = make_span obs in
-  let level_of : (Fact.t, int) Hashtbl.t = Hashtbl.create 256 in
-  Instance.iter (fun f -> Hashtbl.replace level_of f 0) db;
+  let idx = Index.of_instance db in
   let init =
     {
-      i_idx = Index.of_instance db;
-      i_level_of = level_of;
-      i_delta = Instance.facts db;
+      i_idx = idx;
+      i_delta = List.map (fun f -> (Index.intern_fact idx f, 0)) (Instance.facts db);
       i_level = 0;
       i_saturated = false;
       i_first_pass = true;
@@ -310,23 +426,22 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
   Obs.Span.exit span;
   r
 
-(** [continue ... rules ~index ~level_of ~level delta] — run the delta
-    fixpoint over an {e existing} store: passes enumerate only triggers
-    whose body touches [delta] (then the facts those produce, and so on)
-    until saturation. The trigger-key table starts empty — sound whenever
+(** [continue ... rules ~index ~level delta] — run the delta fixpoint
+    over an {e existing} store: passes enumerate only triggers whose body
+    touches [delta] (then the facts those produce, and so on) until
+    saturation. The trigger-key table starts empty — sound whenever
     every previously fired trigger has no body fact in the transitive
     delta, which is the incremental-maintenance invariant (a fired
     trigger touching the delta was either never fired or was invalidated
     by the over-delete phase). Bodiless rules are never (re-)considered:
     their single trigger fired on the original first pass. *)
 let continue ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
-    ?on_pass ?on_fire rules ~index ~level_of ~level delta =
+    ?on_pass ?on_fire rules ~index ~level delta =
   let span = make_span obs in
   let init =
     {
       i_idx = index;
-      i_level_of = level_of;
-      i_delta = delta;
+      i_delta = stored_delta index delta;
       i_level = level;
       i_saturated = false;
       i_first_pass = false;
@@ -343,7 +458,7 @@ let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
     ?on_pass ?on_fire rules (s : snapshot) =
   let span = make_span obs in
   let idx = Index.create () in
-  List.iter (fun (f, _) -> ignore (Index.insert f idx)) s.snap_facts;
+  List.iter (fun (f, l) -> ignore (Index.insert ~level:l f idx)) s.snap_facts;
   (* Re-seed the counters to the checkpointed totals, cancelling the
      increments of the rebuild itself, so a resumed run reports the same
      counter values as an uninterrupted one. *)
@@ -360,14 +475,10 @@ let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
       let c = Obs.Metrics.counter m name in
       Obs.Metrics.add c (saved - Obs.Metrics.value c))
     names;
-  let level_of : (Fact.t, int) Hashtbl.t =
-    Hashtbl.create (List.length s.snap_facts)
-  in
-  List.iter (fun (f, l) -> Hashtbl.replace level_of f l) s.snap_facts;
   (* The semi-naive delta at a clean boundary is exactly the last level. *)
   let delta =
     List.filter_map
-      (fun (f, l) -> if l = s.snap_level then Some f else None)
+      (fun (f, l) -> if l = s.snap_level then Some (Index.intern_fact idx f, l) else None)
       s.snap_facts
   in
   let fpl =
@@ -385,7 +496,6 @@ let resume ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs
   let init =
     {
       i_idx = idx;
-      i_level_of = level_of;
       i_delta = delta;
       i_level = s.snap_level;
       i_saturated = s.snap_saturated;

@@ -47,8 +47,7 @@ type snapshot = {
 }
 
 type result = {
-  index : Index.t;  (** the saturated store *)
-  level_of : (Fact.t, int) Hashtbl.t;  (** s-level of every fact *)
+  index : Index.t;  (** the saturated store, every fact with its s-level *)
   saturated : bool;  (** no unfired trigger remained *)
   max_level : int;
   outcome : Obs.Budget.outcome;  (** [Complete] iff no budget cut the run *)
@@ -63,8 +62,10 @@ type result = {
     are reported in the deterministic sequential firing order. *)
 type firing = {
   fire_rule : int;  (** index into the rule list *)
-  fire_key : int * Term.const option list;
-      (** the trigger's identity: rule index + body-variable image *)
+  fire_key : int array;
+      (** the trigger's identity, interned: [[| rule index; symbol id of
+          each body variable, in sorted variable order |]] (ids of the
+          index's {!Index.symtab}) *)
   fire_body : Fact.t list;  (** grounded body, in body-atom order *)
   fire_outs : (Fact.t * bool) list;
       (** grounded head facts; [true] = fact was new to the store *)
@@ -110,13 +111,12 @@ val resume :
   snapshot ->
   result
 
-(** [continue ?policy … rules ~index ~level_of ~level delta] —
+(** [continue ?policy … rules ~index ~level delta] —
     drive the semi-naive fixpoint over an {e existing, already saturated}
     store after [delta] has been added to it: pass [level + 1] enumerates
     the triggers whose body touches [delta], and the loop runs to
-    saturation (or a budget cut). [index] and [level_of] are mutated in
-    place; [delta]'s facts must already be present in both, carrying
-    level [level].
+    saturation (or a budget cut). [index] is mutated in place; [delta]'s
+    facts must already be stored in it with their s-levels.
 
     This is the incremental-maintenance entry point. Its trigger-key
     table starts empty, which is sound iff no previously fired trigger
@@ -133,7 +133,6 @@ val continue :
   ?on_fire:(firing -> unit) ->
   rule list ->
   index:Index.t ->
-  level_of:(Fact.t, int) Hashtbl.t ->
   level:int ->
   Fact.t list ->
   result

@@ -18,7 +18,8 @@
 
 open Relational
 
-type key = int * Term.const option list
+(* a trigger's interned key, [| rule; symbol id per body variable |] *)
+type key = int array
 
 type derivation = {
   d_key : key;
@@ -40,12 +41,11 @@ type effect = {
 
 type t = {
   rules : Engine.Saturate.rule list;
-  idx : Engine.Index.t;
-  level_of : (Fact.t, int) Hashtbl.t;
+  idx : Engine.Index.t;  (* the facts with their s-levels *)
   base : (Fact.t, unit) Hashtbl.t;
   derivs : (Fact.t, derivation list ref) Hashtbl.t;
   uses : (Fact.t, derivation list ref) Hashtbl.t;
-  fired : (key, derivation) Hashtbl.t;
+  fired : derivation Engine.Index.Key_table.t;
   mutable level : int;  (* highest pass number handed to [continue] *)
   mutable sat : bool;
   mutable dirty : bool;  (* a mutation started changing state and died *)
@@ -98,14 +98,14 @@ let record ~derivs ~uses ~fired (fir : Engine.Saturate.firing) =
     { d_key = fir.Engine.Saturate.fire_key; d_body = body; d_outs = outs;
       d_live = true }
   in
-  Hashtbl.replace fired d.d_key d;
+  Engine.Index.Key_table.replace fired d.d_key d;
   List.iter (fun f -> push uses f d) body;
   List.iter (fun f -> push derivs f d) outs
 
 let kill t d =
   d.d_live <- false;
-  (match Hashtbl.find_opt t.fired d.d_key with
-  | Some d' when d' == d -> Hashtbl.remove t.fired d.d_key
+  (match Engine.Index.Key_table.find_opt t.fired d.d_key with
+  | Some d' when d' == d -> Engine.Index.Key_table.remove t.fired d.d_key
   | _ -> ())
 
 (* ---- construction ----------------------------------------------------- *)
@@ -115,7 +115,7 @@ let check_engine : Tgds.Chase.engine -> unit = function
   | `Indexed -> ()
 
 (* The store around its tables. *)
-let assemble sigma ~idx ~level_of ~base ~derivs ~uses ~fired ~level ~sat =
+let assemble sigma ~idx ~base ~derivs ~uses ~fired ~level ~sat =
   let m = Engine.Index.metrics idx in
   {
     rules =
@@ -124,7 +124,6 @@ let assemble sigma ~idx ~level_of ~base ~derivs ~uses ~fired ~level ~sat =
           Engine.Saturate.{ body = Tgds.Tgd.body t; head = Tgds.Tgd.head t })
         sigma;
     idx;
-    level_of;
     base;
     derivs;
     uses;
@@ -145,21 +144,15 @@ let create ?(engine = `Indexed) ?max_level ?obs sigma db =
   check_engine engine;
   let derivs = Hashtbl.create 1024
   and uses = Hashtbl.create 1024
-  and fired = Hashtbl.create 1024 in
+  and fired = Engine.Index.Key_table.create 1024 in
   let r =
     Tgds.Chase.run ~engine ~policy:Tgds.Chase.Oblivious ?max_level ?obs
       ~on_fire:(record ~derivs ~uses ~fired)
       sigma db
   in
-  let er =
-    match Tgds.Chase.engine_result r with
-    | Some er -> er
-    | None -> assert false (* an indexed run always has one *)
-  in
   let base = Hashtbl.create (Instance.size db) in
   Instance.iter (fun f -> Hashtbl.replace base f ()) db;
-  assemble sigma ~idx:(Tgds.Chase.index r) ~level_of:er.Engine.Saturate.level_of
-    ~base ~derivs ~uses ~fired ~level:(Tgds.Chase.max_level r)
+  assemble sigma ~idx:(Tgds.Chase.index r) ~base ~derivs ~uses ~fired ~level:(Tgds.Chase.max_level r)
     ~sat:(Tgds.Chase.saturated r)
 
 (* ---- the delta fixpoint over the live store --------------------------- *)
@@ -173,7 +166,7 @@ let propagate ?obs t delta =
     let r =
       Engine.Saturate.continue ~policy:Engine.Saturate.Oblivious ?obs
         ~on_fire:(record ~derivs:t.derivs ~uses:t.uses ~fired:t.fired)
-        t.rules ~index:t.idx ~level_of:t.level_of ~level:t.level delta
+        t.rules ~index:t.idx ~level:t.level delta
     in
     t.level <- r.Engine.Saturate.max_level;
     List.fold_left ( + ) 0 r.Engine.Saturate.facts_per_level
@@ -207,7 +200,6 @@ let insert ?obs t f =
              every trigger over the existing facts has fired already *)
         else begin
           ignore (Engine.Index.insert f t.idx);
-          Hashtbl.replace t.level_of f 0;
           1 + propagate ?obs:span t [ f ]
         end
       in
@@ -235,7 +227,7 @@ let relevel t f =
         let bl =
           List.fold_left
             (fun m g ->
-              max m (match Hashtbl.find_opt t.level_of g with Some l -> l | None -> 0))
+              max m (Option.value ~default:0 (Engine.Index.level t.idx g)))
             0 d.d_body
         in
         min acc (bl + 1))
@@ -268,7 +260,6 @@ let delete ?obs t f =
         stack := List.tl !stack;
         if Engine.Index.remove g t.idx then begin
           over := g :: !over;
-          Hashtbl.remove t.level_of g;
           List.iter
             (fun d ->
               kill t d;
@@ -287,11 +278,7 @@ let delete ?obs t f =
           (fun g -> Hashtbl.mem t.base g || live t.derivs g <> [])
           over
       in
-      List.iter
-        (fun g ->
-          ignore (Engine.Index.insert g t.idx);
-          Hashtbl.replace t.level_of g (relevel t g))
-        red;
+      List.iter (fun g -> ignore (Engine.Index.insert ~level:(relevel t g) g t.idx)) red;
       (* Ledger entries of facts that stayed out hold only dead records. *)
       List.iter
         (fun g ->
@@ -353,7 +340,7 @@ let metrics t = Engine.Index.metrics t.idx
 let canonical_levels t =
   let lev = Hashtbl.create (size t) in
   Hashtbl.iter (fun f () -> Hashtbl.replace lev f 0) t.base;
-  let ds = Hashtbl.fold (fun _ d acc -> d :: acc) t.fired [] in
+  let ds = Engine.Index.Key_table.fold (fun _ d acc -> d :: acc) t.fired [] in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -385,15 +372,12 @@ let canonical_levels t =
 let checkpoint t : Tgds.Chase.snapshot =
   ensure_saturated t;
   let lev = canonical_levels t in
-  let snap_facts =
-    Hashtbl.fold
-      (fun f stored acc ->
-        let l =
-          match Hashtbl.find_opt lev f with Some l -> l | None -> stored
-        in
-        (f, l) :: acc)
-      t.level_of []
-  in
+  let snap_facts = ref [] in
+  Engine.Index.iter_rows t.idx (fun pid stored cells ->
+      let f = Engine.Index.fact_of_key t.idx (Array.append [| pid |] cells) in
+      let l = match Hashtbl.find_opt lev f with Some l -> l | None -> stored in
+      snap_facts := (f, l) :: !snap_facts);
+  let snap_facts = List.rev !snap_facts in
   let snap_level = List.fold_left (fun acc (_, l) -> max acc l) 0 snap_facts in
   {
     Tgds.Chase.snap_engine = `Indexed;
@@ -401,7 +385,7 @@ let checkpoint t : Tgds.Chase.snapshot =
     snap_level;
     snap_saturated = true;
     snap_null_count = Term.null_count ();
-    snap_triggers_fired = Hashtbl.length t.fired;
+    snap_triggers_fired = Engine.Index.Key_table.length t.fired;
     snap_triggers_dismissed = 0;
     snap_facts;
     snap_counters = Obs.Metrics.counters (metrics t);
@@ -532,11 +516,6 @@ let add_key b keys ~width i ~from =
     incr k
   done
 
-(* a row's fact, rebuilt from its symbol ids *)
-let rec args_of st cells i acc =
-  if i < 0 then acc
-  else args_of st cells (i - 1) (Engine.Symtab.extern st cells.(i) :: acc)
-
 let image t =
   ensure_saturated t;
   ensure_clean t;
@@ -579,17 +558,12 @@ let image t =
   (* storage order is load-bearing: rows [pid,level,c1,…,cn] *)
   Buffer.add_string b "],\"facts\":[";
   let first = ref true in
-  Engine.Index.iter_rows t.idx (fun pid cells ->
-      let f =
-        Fact.make
-          (Engine.Symtab.extern_pred st pid)
-          (args_of st cells (Array.length cells - 1) [])
-      in
+  Engine.Index.iter_rows t.idx (fun pid level cells ->
       if !first then first := false else Buffer.add_char b ',';
       Buffer.add_char b '[';
       add_int b pid;
       Buffer.add_char b ',';
-      add_int b (try Hashtbl.find t.level_of f with Not_found -> 0);
+      add_int b level;
       add_cells b cells;
       Buffer.add_char b ']');
   (* base facts [pid,c1,…,cn], ordered by that interned key *)
@@ -612,20 +586,13 @@ let image t =
   (* live derivations [rule,[key ids],[body facts],[head facts]], ordered
      by interned trigger key [rule,id or -1 per body variable] *)
   Buffer.add_string b "],\"ledger\":[";
-  let ledger = Array.of_list (Hashtbl.fold (fun _ d acc -> d :: acc) t.fired []) in
-  let width =
-    Array.fold_left (fun w d -> max w (1 + List.length (snd d.d_key))) 1 ledger
+  let ledger =
+    Array.of_list (Engine.Index.Key_table.fold (fun _ d acc -> d :: acc) t.fired [])
   in
+  let width = Array.fold_left (fun w d -> max w (Array.length d.d_key)) 1 ledger in
   let keys = Array.make (Array.length ledger * width) pad in
   Array.iteri
-    (fun i d ->
-      let rule, cs = d.d_key in
-      keys.(i * width) <- rule;
-      List.iteri
-        (fun j c ->
-          keys.((i * width) + 1 + j) <-
-            (match c with None -> -1 | Some c -> sym_id st c))
-        cs)
+    (fun i d -> Array.blit d.d_key 0 keys (i * width) (Array.length d.d_key))
     ledger;
   Array.iteri
     (fun n i ->
@@ -784,22 +751,20 @@ let of_image sigma s =
         let pid = Engine.Symtab.intern_pred st (str ()) in
         if pid <> Engine.Symtab.pred_count st - 1 then fail "duplicate predicate");
     next_field "facts";
-    let level_of = Hashtbl.create 1024 in
     items (fun () ->
         expect '[';
         let pid = int () in
         expect ',';
-        let l = int () in
+        let level = int () in
         let f = fact_of pid in
-        if not (Engine.Index.insert f idx) then fail "duplicate fact";
-        Hashtbl.replace level_of f l);
+        if not (Engine.Index.insert ~level f idx) then fail "duplicate fact");
     next_field "base";
     let base = Hashtbl.create 1024 in
     items (fun () -> Hashtbl.replace base (row ()) ());
     next_field "ledger";
     let derivs = Hashtbl.create 1024
     and uses = Hashtbl.create 1024
-    and fired = Hashtbl.create 1024 in
+    and fired = Engine.Index.Key_table.create 1024 in
     items (fun () ->
         expect '[';
         let rule = int () in
@@ -807,17 +772,18 @@ let of_image sigma s =
         let key = ref [] in
         items (fun () ->
             let id = int () in
-            key := (if id < 0 then None else Some (sym id)) :: !key);
+            if id >= 0 then ignore (sym id);
+            key := id :: !key);
         expect ',';
         let body = rows () in
         expect ',';
         let outs = rows () in
         expect ']';
         let d =
-          { d_key = (rule, List.rev !key); d_body = body; d_outs = outs;
-            d_live = true }
+          { d_key = Array.of_list (rule :: List.rev !key); d_body = body;
+            d_outs = outs; d_live = true }
         in
-        Hashtbl.replace fired d.d_key d;
+        Engine.Index.Key_table.replace fired d.d_key d;
         List.iter (fun f -> push uses f d) body;
         List.iter (fun f -> push derivs f d) outs);
     expect '}';
@@ -841,7 +807,7 @@ let of_image sigma s =
         Obs.Metrics.add c (saved - Obs.Metrics.value c))
       names;
     Ok
-      (assemble sigma ~idx ~level_of ~base ~derivs ~uses ~fired ~level
+      (assemble sigma ~idx ~base ~derivs ~uses ~fired ~level
          ~sat:true)
   with Bad_image msg -> Error msg
 

@@ -8,9 +8,13 @@
 open Relational
 open Relational.Term
 
+(* Where a result's s-levels live: the naive loop's table, or the level
+   column of the indexed engine's store. *)
+type levels = Table of (Fact.t, int) Hashtbl.t | Stored of Engine.Index.t
+
 type result = {
   instance : Instance.t Lazy.t;
-  level_of : (Fact.t, int) Hashtbl.t;
+  levels : levels;
   saturated : bool;
   max_level : int;
   index : Engine.Index.t option;  (** the engine's store, when indexed *)
@@ -212,7 +216,7 @@ let exec_naive ~policy ~budget ~span ~on_pass (init : naive_init) sigma =
   in
   {
     instance = Lazy.from_val !inst;
-    level_of;
+    levels = Table level_of;
     saturated = !saturated;
     max_level = !level;
     index = None;
@@ -297,7 +301,7 @@ let engine_on_pass ~policy on_pass =
 let of_engine_result ~span (r : Engine.Saturate.result) =
   {
     instance = lazy (Engine.Index.to_instance r.Engine.Saturate.index);
-    level_of = r.Engine.Saturate.level_of;
+    levels = Stored r.Engine.Saturate.index;
     saturated = r.Engine.Saturate.saturated;
     max_level = r.Engine.Saturate.max_level;
     index = Some r.Engine.Saturate.index;
@@ -390,27 +394,36 @@ let index (r : result) =
   | Some idx -> idx
   | None -> Engine.Index.of_instance (Lazy.force r.instance)
 
-(* s-level census; derived from [level_of], so it agrees between engines
-   (a fact derived at pass ℓ has s-level ℓ under both). *)
+(* s-level census; derived from the stored levels, so it agrees between
+   engines (a fact derived at pass ℓ has s-level ℓ under both). *)
 let facts_per_level (r : result) =
   if r.max_level = 0 then []
   else begin
     let counts = Array.make (r.max_level + 1) 0 in
-    Hashtbl.iter
-      (fun _ l -> if l >= 1 && l <= r.max_level then counts.(l) <- counts.(l) + 1)
-      r.level_of;
+    let count l = if l >= 1 && l <= r.max_level then counts.(l) <- counts.(l) + 1 in
+    (match r.levels with
+    | Table t -> Hashtbl.iter (fun _ l -> count l) t
+    | Stored idx -> Engine.Index.iter_rows idx (fun _ l _ -> count l));
     List.init r.max_level (fun i -> counts.(i + 1))
   end
+
+(** [level r f] — the s-level of a fact of the result. *)
+let level (r : result) f =
+  match r.levels with
+  | Table t -> Hashtbl.find_opt t f
+  | Stored idx -> Engine.Index.level idx f
 
 (** [up_to_level r l] — the sub-instance of facts with s-level ≤ [l]
     (i.e. [chase^l_s(D,Σ)] when the run reached at least level [l]). *)
 let up_to_level (r : result) l =
   Instance.filter
-    (fun f -> match Hashtbl.find_opt r.level_of f with Some lv -> lv <= l | None -> true)
+    (fun f -> match level r f with Some lv -> lv <= l | None -> true)
     (Lazy.force r.instance)
 
-(** [level r f] — the s-level of a fact of the result. *)
-let level (r : result) f = Hashtbl.find_opt r.level_of f
+let fact_count (r : result) =
+  match r.levels with
+  | Table t -> Hashtbl.length t
+  | Stored idx -> Engine.Index.size idx
 
 (** The ground part [chase↓]: facts whose constants are all from [dom db]
     (equivalently, contain no labelled null invented by the chase). *)
@@ -425,7 +438,7 @@ let report ?(name = "chase") (r : result) =
   Obs.Report.set_outcome rep r.outcome;
   Obs.Report.add_field rep "saturated" (Obs.Json.Bool r.saturated);
   Obs.Report.add_field rep "max_level" (Obs.Json.Int r.max_level);
-  Obs.Report.add_field rep "facts" (Obs.Json.Int (Hashtbl.length r.level_of));
+  Obs.Report.add_field rep "facts" (Obs.Json.Int (fact_count r));
   Obs.Report.add_field rep "facts_per_level"
     (Obs.Json.List (List.map (fun n -> Obs.Json.Int n) (facts_per_level r)));
   (match r.engine_result with
