@@ -57,6 +57,29 @@ end
 
 module Key_table = Hashtbl.Make (Key)
 
+(* Posting tables, cid -> posting, with the same avalanche on one cell
+   and no polymorphic hash or compare behind each lookup. *)
+module Cid_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x3fb5d329728ea185 in
+    (h lxor (h lsr 29)) land max_int
+end)
+
+(* A posting list: the packed rows filed under one (position, cid), in
+   append order. Most lists hold one row — a null, or a constant seen
+   once at that position — so a singleton is kept inline and only a
+   second row allocates a vector. *)
+type posting = One of int | Many of Vec.t
+
+let posting_length = function One _ -> 1 | Many v -> Vec.length v
+
+(* the [k]-th row in append order *)
+let posting_get p k = match p with One r -> r | Many v -> Vec.get v k
+
 type rel = {
   r_arity : int;
   r_cols : Vec.t array;  (* one column per argument position *)
@@ -68,7 +91,7 @@ type rel = {
 type entry = {
   mutable e_rels : rel list;  (* by arity; almost always a singleton *)
   e_order : Vec.t;  (* live rows in append order *)
-  mutable e_at : (int, Vec.t) Hashtbl.t array;  (* position -> cid -> posting *)
+  mutable e_at : posting Cid_table.t array;  (* position -> cid -> posting *)
 }
 
 (* The predicate table is shared through a one-field record so readers
@@ -179,7 +202,9 @@ let entry_of idx pid =
       tabs.entries.(pid) <- Some e;
       e
 
-let rel_find e arity = List.find_opt (fun r -> r.r_arity = arity) e.e_rels
+let rel_find e arity =
+  let rec go = function [] -> None | r :: rest -> if r.r_arity = arity then Some r else go rest in
+  go e.e_rels
 
 let rel_of e arity =
   match rel_find e arity with
@@ -198,16 +223,18 @@ let rel_of e arity =
       if Array.length e.e_at < arity then
         e.e_at <-
           Array.init arity (fun i ->
-              if i < Array.length e.e_at then e.e_at.(i) else Hashtbl.create 16);
+              if i < Array.length e.e_at then e.e_at.(i) else Cid_table.create 16);
       r
 
-let posting_of tbl cid =
-  match Hashtbl.find_opt tbl cid with
-  | Some v -> v
-  | None ->
+let posting_push tbl cid packed =
+  match Cid_table.find tbl cid with
+  | Many v -> Vec.push v packed
+  | One r ->
       let v = Vec.create ~capacity:4 () in
-      Hashtbl.replace tbl cid v;
-      v
+      Vec.push v r;
+      Vec.push v packed;
+      Cid_table.replace tbl cid (Many v)
+  | exception Not_found -> Cid_table.add tbl cid (One packed)
 
 (* File an absent key: a row slot (recycled when one is free), its
    level, the relation order, one posting entry per position and the
@@ -239,7 +266,7 @@ let add_row idx key ~level =
   let packed = pack ~arity row in
   Vec.push e.e_order packed;
   for i = 0 to arity - 1 do
-    Vec.push (posting_of e.e_at.(i) key.(i + 1)) packed
+    posting_push e.e_at.(i) key.(i + 1) packed
   done;
   Key_table.add idx.members key packed
 
@@ -287,11 +314,12 @@ let remove f idx =
           for i = 0 to arity - 1 do
             let tbl = e.e_at.(i) in
             let cid = key.(i + 1) in
-            match Hashtbl.find_opt tbl cid with
+            match Cid_table.find_opt tbl cid with
             | None -> ()
-            | Some v ->
+            | Some (One r) -> if r = packed then Cid_table.remove tbl cid
+            | Some (Many v) ->
                 ignore (Vec.remove_value v packed);
-                if Vec.length v = 0 then Hashtbl.remove tbl cid
+                if Vec.length v = 0 then Cid_table.remove tbl cid
           done;
           (match rel_find e arity with
           | Some r -> Vec.push r.r_free (row_of_packed packed)
@@ -369,24 +397,24 @@ let to_instance idx =
     (fun key _ acc -> Instance.add_fact (fact_of_key idx key) acc)
     idx.members Instance.empty
 
-(* Decode a vector of packed rows to tuples, most recently added first
+(* Decode a list of packed rows to tuples, most recently added first
    (prepending while walking in append order reverses it). *)
-let decode_rev idx e v =
+let decode_rev idx e p =
   let st = idx.symtab in
   let out = ref [] in
-  Vec.iter
-    (fun packed ->
-      let arity = arity_of_packed packed and row = row_of_packed packed in
-      let r = match rel_find e arity with Some r -> r | None -> assert false in
-      out := List.init arity (fun i -> Symtab.extern st (Vec.get r.r_cols.(i) row)) :: !out)
-    v;
+  for k = 0 to posting_length p - 1 do
+    let packed = posting_get p k in
+    let arity = arity_of_packed packed and row = row_of_packed packed in
+    let r = match rel_find e arity with Some r -> r | None -> assert false in
+    out := List.init arity (fun i -> Symtab.extern st (Vec.get r.r_cols.(i) row)) :: !out
+  done;
   !out
 
 let tuples_of idx p =
   Obs.Metrics.incr idx.c_probes;
   match Symtab.find_pred idx.symtab p with
   | None -> []
-  | Some pid -> ( match entry idx pid with None -> [] | Some e -> decode_rev idx e e.e_order)
+  | Some pid -> ( match entry idx pid with None -> [] | Some e -> decode_rev idx e (Many e.e_order))
 
 let posting idx p i c =
   match Symtab.find_pred idx.symtab p with
@@ -399,7 +427,7 @@ let posting idx p i c =
           else (
             match Symtab.find idx.symtab c with
             | None -> None
-            | Some cid -> Hashtbl.find_opt e.e_at.(i) cid))
+            | Some cid -> Cid_table.find_opt e.e_at.(i) cid))
 
 let tuples_at idx p i c =
   Obs.Metrics.incr idx.c_probes;
@@ -414,11 +442,11 @@ let tuples_at idx p i c =
             match Symtab.find idx.symtab c with
             | None -> []
             | Some cid -> (
-                match Hashtbl.find_opt e.e_at.(i) cid with
+                match Cid_table.find_opt e.e_at.(i) cid with
                 | None -> []
                 | Some v -> decode_rev idx e v)))
 
-let count_at idx p i c = match posting idx p i c with Some v -> Vec.length v | None -> 0
+let count_at idx p i c = match posting idx p i c with Some v -> posting_length v | None -> 0
 
 let count_of idx p =
   match Symtab.find_pred idx.symtab p with
@@ -475,7 +503,7 @@ let candidate_count idx a (b : Homomorphism.binding) =
               (* bound position; an absent constant means an empty posting *)
               let n =
                 if cid < 0 || i >= Array.length e.e_at then 0
-                else try Vec.length (Hashtbl.find e.e_at.(i) cid) with Not_found -> 0
+                else try posting_length (Cid_table.find e.e_at.(i) cid) with Not_found -> 0
               in
               if !best < 0 || n < !best then best := n
             end)
@@ -521,7 +549,7 @@ let fold_matches idx a (b : Homomorphism.binding) ~injective ~on_candidate ~on_f
           if cid >= -1 then begin
             let n =
               if cid < 0 || i >= Array.length e.e_at then 0
-              else try Vec.length (Hashtbl.find e.e_at.(i) cid) with Not_found -> 0
+              else try posting_length (Cid_table.find e.e_at.(i) cid) with Not_found -> 0
             in
             if !best_i < 0 || n < !best_n then begin
               best_i := i;
@@ -531,9 +559,9 @@ let fold_matches idx a (b : Homomorphism.binding) ~injective ~on_candidate ~on_f
           end
         done;
         let seq =
-          if !best_i < 0 then Some e.e_order
+          if !best_i < 0 then Some (Many e.e_order)
           else if !best_cid < 0 || !best_i >= Array.length e.e_at then None
-          else Hashtbl.find_opt e.e_at.(!best_i) !best_cid
+          else Cid_table.find_opt e.e_at.(!best_i) !best_cid
         in
         match seq with
         | None -> acc
@@ -576,8 +604,8 @@ let fold_matches idx a (b : Homomorphism.binding) ~injective ~on_candidate ~on_f
             in
             let acc = ref acc in
             (* most recently added first = backing vector reversed *)
-            for k = Vec.length v - 1 downto 0 do
-              let packed = Vec.get v k in
+            for k = posting_length v - 1 downto 0 do
+              let packed = posting_get v k in
               on_candidate ();
               if arity_of_packed packed <> arity then on_fail ()
               else begin
@@ -717,7 +745,7 @@ let catom_count idx ca ~benv =
             let n =
               if cid < 0 || i >= Array.length e.e_at then 0
               else
-                try Vec.length (Hashtbl.find e.e_at.(i) cid)
+                try posting_length (Cid_table.find e.e_at.(i) cid)
                 with Not_found -> 0
             in
             if !best < 0 || n < !best then best := n
@@ -749,7 +777,7 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
             let n =
               if cid < 0 || i >= Array.length e.e_at then 0
               else
-                try Vec.length (Hashtbl.find e.e_at.(i) cid)
+                try posting_length (Cid_table.find e.e_at.(i) cid)
                 with Not_found -> 0
             in
             if !best_i < 0 || n < !best_n then begin
@@ -760,9 +788,9 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
           end
         done;
         let seq =
-          if !best_i < 0 then Some e.e_order
+          if !best_i < 0 then Some (Many e.e_order)
           else if !best_cid < 0 || !best_i >= Array.length e.e_at then None
-          else Hashtbl.find_opt e.e_at.(!best_i) !best_cid
+          else Cid_table.find_opt e.e_at.(!best_i) !best_cid
         in
         match seq with
         | None -> false
@@ -770,9 +798,9 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
             let rel_a = rel_find e arity in
             let trail = ca.c_trail in
             let stopped = ref false in
-            let k = ref (Vec.length v - 1) in
+            let k = ref (posting_length v - 1) in
             while (not !stopped) && !k >= 0 do
-              let packed = Vec.get v !k in
+              let packed = posting_get v !k in
               decr k;
               on_candidate ();
               if arity_of_packed packed <> arity then on_fail ()
@@ -818,7 +846,7 @@ let fold_catom idx ca ~benv ~on_candidate ~on_fail (f : int -> bool) arg =
    table and of every posting table. *)
 let capacity_words idx =
   let vec v = Vec.capacity v in
-  let buckets tbl = (Hashtbl.stats tbl).Hashtbl.num_buckets in
+  let buckets tbl = (Cid_table.stats tbl).Hashtbl.num_buckets in
   Array.fold_left
     (fun acc e ->
       match e with
@@ -835,7 +863,10 @@ let capacity_words idx =
               acc e.e_rels
           in
           Array.fold_left
-            (fun acc tbl -> Hashtbl.fold (fun _ v acc -> acc + vec v) tbl (acc + buckets tbl))
+            (fun acc tbl ->
+              Cid_table.fold
+                (fun _ p acc -> acc + match p with One _ -> 1 | Many v -> vec v)
+                tbl (acc + buckets tbl))
             acc e.e_at)
     (Key_table.stats idx.members).Hashtbl.num_buckets
     idx.tabs.entries

@@ -8,7 +8,7 @@ open Relational.Term
 
 type binding = Homomorphism.binding
 
-let fold ?(injective = false) ?(init = VarMap.empty) ?delta atoms idx f acc =
+let fold ?(injective = false) ?(init = VarMap.empty) atoms idx f acc =
   Obs.Probe.hit "engine.join";
   let m = Index.metrics idx in
   let c_candidates = Obs.Metrics.counter m "joiner.candidates" in
@@ -36,22 +36,7 @@ let fold ?(injective = false) ?(init = VarMap.empty) ?delta atoms idx f acc =
           (fun b' acc -> search b' rest acc)
           acc
   in
-  match (delta, atoms) with
-  | None, _ | _, [] -> search init atoms acc
-  | Some dfacts, pivot :: rest ->
-      let p = Atom.pred pivot in
-      List.fold_left
-        (fun acc df ->
-          if Fact.pred df <> p then acc
-          else begin
-            Obs.Metrics.incr c_candidates;
-            match Homomorphism.match_atom ~injective init pivot (Fact.args df) with
-            | Some b -> search b rest acc
-            | None ->
-                Obs.Metrics.incr c_backtracks;
-                acc
-          end)
-        acc dfacts
+  search init atoms acc
 
 (* Compiled search: [fold] without the probe hit, over a pre-compiled
    atom array, for the chase's joins and the enumerator's per-answer
@@ -111,17 +96,17 @@ let exists_compiled idx atoms ~benv lo n =
 
 exception Found of binding
 
-let find ?injective ?init ?delta atoms idx =
+let find ?injective ?init atoms idx =
   try
-    fold ?injective ?init ?delta atoms idx (fun b _ -> raise (Found b)) ();
+    fold ?injective ?init atoms idx (fun b _ -> raise (Found b)) ();
     None
   with Found b -> Some b
 
-let exists ?injective ?init ?delta atoms idx =
-  Option.is_some (find ?injective ?init ?delta atoms idx)
+let exists ?injective ?init atoms idx =
+  Option.is_some (find ?injective ?init atoms idx)
 
-let all ?injective ?init ?delta atoms idx =
-  List.rev (fold ?injective ?init ?delta atoms idx (fun b acc -> b :: acc) [])
+let all ?injective ?init atoms idx =
+  List.rev (fold ?injective ?init atoms idx (fun b acc -> b :: acc) [])
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation over an index                                       *)

@@ -7,11 +7,12 @@
     (leapfrog-style cheapest-first ordering) rather than from scanning
     whole relations.
 
-    [?delta] is the semi-naive hook: when given, the {e first} atom of
-    the list is matched against the delta facts only (those whose
-    predicate agrees), while the remaining atoms run against the full
-    index. {!Saturate} pivots each body atom through the delta in turn to
-    enumerate exactly the triggers that involve a fact of the last
+    The compiled form ({!search_compiled}) runs the same search over
+    {!Index.catom}s and an int binding environment: the enumerator's
+    witness checks and every join of the chase. {!Saturate} matches each
+    body atom in turn against the last level's facts
+    ({!Index.catom_match_key}) and joins the rest of the body here, so
+    it enumerates exactly the triggers that involve a fact of that
     level.
 
     Every search files [joiner.candidates] (candidate tuples examined)
@@ -23,13 +24,12 @@ open Relational.Term
 
 type binding = Homomorphism.binding
 
-(** [fold ?injective ?init ?delta atoms idx f acc] — fold [f] over
+(** [fold ?injective ?init atoms idx f acc] — fold [f] over
     every homomorphism from [atoms] into the index extending [init].
     Every call hits the ["engine.join"] {!Obs.Probe} at entry. *)
 val fold :
   ?injective:bool ->
   ?init:binding ->
-  ?delta:Fact.t list ->
   Atom.t list ->
   Index.t ->
   (binding -> 'a -> 'a) ->
@@ -38,11 +38,11 @@ val fold :
 
 (** First homomorphism, if any. *)
 val find :
-  ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
+  ?injective:bool -> ?init:binding ->
   Atom.t list -> Index.t -> binding option
 
 val exists :
-  ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
+  ?injective:bool -> ?init:binding ->
   Atom.t list -> Index.t -> bool
 
 (** [exists_compiled idx atoms ~benv lo n] — {!exists} over
@@ -76,7 +76,7 @@ val search_compiled :
 
 (** All homomorphisms (exponentially many in general). *)
 val all :
-  ?injective:bool -> ?init:binding -> ?delta:Fact.t list ->
+  ?injective:bool -> ?init:binding ->
   Atom.t list -> Index.t -> binding list
 
 (* ------------------------------------------------------------------ *)

@@ -258,7 +258,7 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
                     (Joiner.exists_compiled idx k.k_heads ~benv 0
                        (Array.length k.k_heads))
             in
-            Index.Key_table.replace fired key ();
+            Index.Key_table.add fired key ();
             if active then new_triggers := (k, key, body_level) :: !new_triggers
             else begin
               incr triggers_dismissed;
@@ -339,7 +339,10 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
                   (hk, fresh)
                 in
                 (match on_fire with
-                | None -> Array.iter (fun h -> ignore (land_head h)) k.k_head
+                | None ->
+                    for h = 0 to Array.length k.k_head - 1 do
+                      ignore (land_head k.k_head.(h))
+                    done
                 | Some cb ->
                     let outs = List.map land_head (Array.to_list k.k_head) in
                     cb

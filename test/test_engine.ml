@@ -298,7 +298,8 @@ let test_index_postings () =
   check_int "size unchanged" 3 (Engine.Index.size idx)
 
 let test_delta_restriction () =
-  (* with ~delta, only matches using a delta fact for the first atom *)
+  (* the chase's semi-naive join: the pivot atom is matched against a
+     delta fact's interned key, the rest of the body against the index *)
   let inst =
     Instance.of_facts [ fact "A" [ "a" ]; fact "A" [ "b" ]; fact "S" [ "a"; "b" ] ]
   in
@@ -306,18 +307,30 @@ let test_delta_restriction () =
   let body = [ atom "A" [ v "x" ]; atom "S" [ v "x"; v "y" ] ] in
   let all = Engine.Joiner.all body idx in
   check_int "unrestricted: one hom" 1 (List.length all);
-  let none =
-    Engine.Joiner.fold ~delta:[ fact "A" [ "b" ] ] body idx
-      (fun _ n -> n + 1)
-      0
+  let slot = function "x" -> 0 | _ -> 1 in
+  let homs delta =
+    let atoms =
+      Array.of_list (List.map (Engine.Index.compile_atom idx ~slot) body)
+    in
+    let benv = Array.make 2 (-1) and n = ref 0 in
+    List.iter
+      (fun f ->
+        let key = Engine.Index.intern_fact idx f in
+        if Engine.Index.catom_match_key atoms.(0) ~benv key then begin
+          ignore
+            (Engine.Joiner.search_compiled idx atoms ~benv ~on_candidate:ignore
+               ~on_fail:ignore 1 2 (fun () ->
+                 incr n;
+                 false));
+          Engine.Index.catom_clear atoms.(0) ~benv
+        end)
+      delta;
+    check "bindings undone" true (Array.for_all (fun c -> c = -1) benv);
+    !n
   in
-  check_int "delta A(b): no hom" 0 none;
-  let one =
-    Engine.Joiner.fold ~delta:[ fact "A" [ "a" ] ] body idx
-      (fun _ n -> n + 1)
-      0
-  in
-  check_int "delta A(a): one hom" 1 one
+  check_int "delta A(b): no hom" 0 (homs [ fact "A" [ "b" ] ]);
+  check_int "delta A(a): one hom" 1 (homs [ fact "A" [ "a" ] ]);
+  check_int "delta of another predicate: no hom" 0 (homs [ fact "S" [ "a"; "b" ] ])
 
 let test_stats_reported () =
   let sigma =

@@ -504,6 +504,27 @@ let test_posting_order_and_remove () =
     (tuples (Index.tuples_at idx "S" 1 (Term.Named "b")));
   Alcotest.(check int) "size" 4 (Index.size idx)
 
+(* Regression: membership buckets must spread. Partitioning the table
+   into shards picked by the hash's low bits, each a table bucketed by
+   the low bits of that same hash, left a shard using 1/16 of its
+   buckets: over 122k fact keys the mean chain was 29.6 and the longest
+   46. One table hashing a mix of every cell keeps both near the load
+   factor. *)
+let test_membership_spread () =
+  let idx = Engine.Index.create () in
+  for i = 0 to 121_999 do
+    ignore (Engine.Index.insert_key idx [| i mod 7; i; i + 1 |] ~level:0)
+  done;
+  let s = Engine.Index.membership_stats idx in
+  Alcotest.(check int) "every key stored" 122_000 s.Hashtbl.num_bindings;
+  let used = s.Hashtbl.num_buckets - s.Hashtbl.bucket_histogram.(0) in
+  let mean = float_of_int s.Hashtbl.num_bindings /. float_of_int used in
+  check (Fmt.str "mean chain over used buckets %.2f <= 4" mean) true (mean <= 4.);
+  check
+    (Fmt.str "longest chain %d <= 16" s.Hashtbl.max_bucket_length)
+    true
+    (s.Hashtbl.max_bucket_length <= 16)
+
 (* Regression (mirrors the PR 5 Homomorphism memory-stability shape):
    repeated insert/delete cycles over a fixed fact set in a maintained
    store must not grow the store's capacity — posting lists and any
@@ -627,6 +648,8 @@ let () =
             test_posting_order_and_remove;
           Alcotest.test_case "serve capacity stable" `Quick
             test_serve_capacity_stable;
+          Alcotest.test_case "membership buckets spread" `Quick
+            test_membership_spread;
         ] );
       ( "units",
         [
