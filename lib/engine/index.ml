@@ -2,9 +2,10 @@
 
     Symbols are interned to dense ints ({!Symtab}) and each predicate's
     tuples live in contiguous int columns ({!Vec}), beside a column of
-    the rows' s-levels; posting lists and the per-predicate insertion
-    order are flat int vectors of packed row handles, and membership is
-    one hash table keyed by the interned fact key. See the interface for
+    the rows' s-levels; the per-predicate insertion order is a flat int
+    vector of packed row handles, a posting list is one inline handle or
+    such a vector, and membership is one hash table keyed by the
+    interned fact key. See the interface for
     the contract — the observable behaviour (iteration order, counters,
     probe accounting) is bit-compatible with the previous hash-of-lists
     representation:
@@ -206,10 +207,14 @@ let rel_find e arity =
   let rec go = function [] -> None | r :: rest -> if r.r_arity = arity then Some r else go rest in
   go e.e_rels
 
+let rec rel_in arity = function
+  | r :: rest -> if r.r_arity = arity then r else rel_in arity rest
+  | [] -> raise Not_found
+
 let rel_of e arity =
-  match rel_find e arity with
-  | Some r -> r
-  | None ->
+  match rel_in arity e.e_rels with
+  | r -> r
+  | exception Not_found ->
       let r =
         {
           r_arity = arity;

@@ -290,20 +290,28 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
                       let c_backtracks = Obs.Metrics.counter m "joiner.backtracks" in
                       let on_candidate () = Obs.Metrics.incr c_candidates in
                       let on_fail () = Obs.Metrics.incr c_backtracks in
+                      let pivot_level = ref 0 in
+                      (* a full body match: its level is the highest of
+                         the pivot's and the joined rows' *)
+                      let matched () =
+                        let bl = ref !pivot_level in
+                        for i = 1 to n - 1 do
+                          let li = Index.catom_level atoms.(i) in
+                          if li > !bl then bl := li
+                        done;
+                        consider k !bl;
+                        false
+                      in
                       List.iter
                         (fun (key, l) ->
                           on_candidate ();
                           if Index.catom_match_key pivot ~benv key then begin
-                            ignore
-                              (Joiner.search_compiled idx atoms ~benv ~on_candidate ~on_fail 1 n
-                                 (fun () ->
-                                   let bl = ref l in
-                                   for i = 1 to n - 1 do
-                                     let li = Index.catom_level atoms.(i) in
-                                     if li > !bl then bl := li
-                                   done;
-                                   consider k !bl;
-                                   false));
+                            pivot_level := l;
+                            if n = 1 then ignore (matched ())
+                            else
+                              ignore
+                                (Joiner.search_compiled idx atoms ~benv ~on_candidate
+                                   ~on_fail 1 n matched);
                             Index.catom_clear pivot ~benv
                           end
                           else on_fail ())
@@ -413,10 +421,14 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
     ?on_fire rules db =
   let span = make_span obs in
   let idx = Index.of_instance db in
+  (* the database is the first delta, each relation in [Instance.iter]
+     order — the order the store just filed it in *)
+  let delta = ref [] in
+  Index.iter_rows idx (fun pid _ cells -> delta := (Array.append [| pid |] cells, 0) :: !delta);
   let init =
     {
       i_idx = idx;
-      i_delta = List.map (fun f -> (Index.intern_fact idx f, 0)) (Instance.facts db);
+      i_delta = List.rev !delta;
       i_level = 0;
       i_saturated = false;
       i_first_pass = true;
