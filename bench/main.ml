@@ -38,6 +38,12 @@ let measure ?(repeat = 3) f =
   in
   List.nth times (repeat / 2)
 
+(* [f ()] with the minor-heap words it allocated *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
 let header title statement shape =
   Fmt.pr "@.=== %s ===@." title;
   Fmt.pr "paper: %s@.expected shape: %s@.@." statement shape
@@ -545,7 +551,9 @@ let e15 ~full () =
       measure ~repeat:1 (fun () ->
           ignore (Tgds.Chase.run ~engine:`Indexed ~max_level sigma db))
     in
-    let r = Tgds.Chase.run ~engine:`Indexed ~max_level sigma db in
+    let r, words =
+      minor_words (fun () -> Tgds.Chase.run ~engine:`Indexed ~max_level sigma db)
+    in
     let chased = Instance.size (Tgds.Chase.instance r) in
     let t_naive =
       measure ~repeat:1 (fun () ->
@@ -559,14 +567,15 @@ let e15 ~full () =
     let level_s =
       List.map Obs.Span.elapsed (Obs.Span.children er.Engine.Saturate.span)
     in
+    let wpt = words /. float_of_int (max triggers 1) in
     rows :=
-      (workload, Instance.size db, chased, triggers, t_naive, t_idx, fpl, level_s)
+      (workload, Instance.size db, chased, triggers, t_naive, t_idx, fpl, level_s, wpt)
       :: !rows;
-    row "  %-18s %8d %10d %10d %12.4f %12.4f %9.1fx@." workload
-      (Instance.size db) chased triggers t_naive t_idx (t_naive /. t_idx)
+    row "  %-18s %8d %10d %10d %12.4f %12.4f %9.1fx %10.1f@." workload
+      (Instance.size db) chased triggers t_naive t_idx (t_naive /. t_idx) wpt
   in
-  row "  %-18s %8s %10s %10s %12s %12s %9s@." "workload" "||D||" "chased"
-    "triggers" "naive(s)" "indexed(s)" "speedup";
+  row "  %-18s %8s %10s %10s %12s %12s %9s %10s@." "workload" "||D||" "chased"
+    "triggers" "naive(s)" "indexed(s)" "speedup" "words/trig";
   let unis = if full then [ 10; 40; 160; 640 ] else [ 10; 40; 160 ] in
   List.iter
     (fun u ->
@@ -584,7 +593,7 @@ let e15 ~full () =
      per-level (phase) breakdown of the indexed run *)
   let entries =
     List.rev_map
-      (fun (w, d, c, tr, tn, ti, fpl, level_s) ->
+      (fun (w, d, c, tr, tn, ti, fpl, level_s, wpt) ->
            Obs.Json.Obj
              [
                ("workload", Obs.Json.String w);
@@ -598,6 +607,7 @@ let e15 ~full () =
                  Obs.Json.List (List.map (fun n -> Obs.Json.Int n) fpl) );
                ( "level_s",
                  Obs.Json.List (List.map (fun s -> Obs.Json.Float s) level_s) );
+               ("minor_words_per_trigger", Obs.Json.Float wpt);
              ])
       !rows
   in
@@ -1188,12 +1198,49 @@ let gate () =
         match find_baseline name with
         | None -> Fmt.pr "  %-22s no baseline entry — skipped@." name
         | Some base -> (
-            let r = Tgds.Chase.run ~engine:`Indexed ~max_level sigma db in
+            let r, words =
+              minor_words (fun () ->
+                  Tgds.Chase.run ~engine:`Indexed ~max_level sigma db)
+            in
             let t =
               measure ~repeat:3 (fun () ->
                   ignore (Tgds.Chase.run ~engine:`Indexed ~max_level sigma db))
             in
             against name t base "indexed_s";
+            (* work counters are machine-independent: the chase must fire
+               exactly the baseline's triggers and derive exactly its
+               facts, level by level *)
+            let triggers =
+              (Option.get (Tgds.Chase.engine_result r)).Engine.Saturate.triggers_fired
+            in
+            let exact key got =
+              match Obs.Json.member key base with
+              | None -> Fmt.pr "  %-22s baseline has no %s — skipped@." name key
+              | Some b ->
+                  if b <> got then
+                    fail "%s: %s %s differs from baseline %s" name key
+                      (Obs.Json.to_string got) (Obs.Json.to_string b)
+            in
+            exact "triggers" (Obs.Json.Int triggers);
+            exact "chase_facts" (Obs.Json.Int (Instance.size (Tgds.Chase.instance r)));
+            exact "facts_per_level"
+              (Obs.Json.List
+                 (List.map (fun n -> Obs.Json.Int n) (Tgds.Chase.facts_per_level r)));
+            (* allocation per fired trigger depends on the program, not
+               on the machine: 1.25x over baseline is a regression *)
+            (match float_field "minor_words_per_trigger" base with
+            | None ->
+                Fmt.pr "  %-22s baseline has no minor_words_per_trigger — skipped@."
+                  name
+            | Some b ->
+                let wpt = words /. float_of_int (max triggers 1) in
+                let limit = b *. 1.25 in
+                Fmt.pr "  %-22s alloc %8.1fw/trig baseline %8.1fw/trig limit %8.1fw/trig%s@."
+                  name wpt b limit
+                  (if wpt > limit then "  <-- over" else "");
+                if wpt > limit then
+                  fail "%s: %.1f minor words/trigger > limit %.1f (baseline %.1f)"
+                    name wpt limit b);
             (* per-level pass times, where the baseline recorded them *)
             match Obs.Json.member "level_s" base with
             | Some (Obs.Json.List base_levels) ->

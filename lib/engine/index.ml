@@ -178,7 +178,6 @@ let key_find idx f =
 let mem f idx =
   match key_find idx f with None -> false | Some key -> Key_table.mem idx.members key
 
-let mem_key idx key = Key_table.mem idx.members key
 let size idx = Key_table.length idx.members
 
 let entry idx pid =
@@ -241,64 +240,56 @@ let posting_push tbl cid packed =
       Cid_table.replace tbl cid (Many v)
   | exception Not_found -> Cid_table.add tbl cid (One packed)
 
-(* File an absent key: a row slot (recycled when one is free), its
-   level, the relation order, one posting entry per position and the
-   membership entry, which keeps [key] itself. *)
-let add_row idx key ~level =
-  Obs.Metrics.incr idx.c_inserts;
-  let pid = key.(0) and arity = Array.length key - 1 in
-  let e = entry_of idx pid in
-  let r = rel_of e arity in
-  let row =
-    if Vec.length r.r_free > 0 then begin
-      let row = Vec.pop r.r_free in
-      for i = 0 to arity - 1 do
-        Vec.set r.r_cols.(i) row key.(i + 1)
-      done;
-      Vec.set r.r_levels row level;
-      row
-    end
-    else begin
-      let row = r.r_rows in
-      r.r_rows <- row + 1;
-      for i = 0 to arity - 1 do
-        Vec.push r.r_cols.(i) key.(i + 1)
-      done;
-      Vec.push r.r_levels level;
-      row
-    end
-  in
-  let packed = pack ~arity row in
-  Vec.push e.e_order packed;
-  for i = 0 to arity - 1 do
-    posting_push e.e_at.(i) key.(i + 1) packed
-  done;
-  Key_table.add idx.members key packed
-
-let insert_key idx key ~level =
-  Obs.Probe.hit "engine.insert";
+(* File [key] unless it is stored: a row slot (recycled when one is
+   free), its level, the relation order, one posting entry per position
+   and the membership entry, which keeps [key] itself. *)
+let file_key idx key ~level =
   if Key_table.mem idx.members key then begin
     Obs.Metrics.incr idx.c_duplicates;
     false
   end
   else begin
-    add_row idx key ~level;
+    Obs.Metrics.incr idx.c_inserts;
+    let pid = key.(0) and arity = Array.length key - 1 in
+    let e = entry_of idx pid in
+    let r = rel_of e arity in
+    let row =
+      if Vec.length r.r_free > 0 then begin
+        let row = Vec.pop r.r_free in
+        for i = 0 to arity - 1 do
+          Vec.set r.r_cols.(i) row key.(i + 1)
+        done;
+        Vec.set r.r_levels row level;
+        row
+      end
+      else begin
+        let row = r.r_rows in
+        r.r_rows <- row + 1;
+        for i = 0 to arity - 1 do
+          Vec.push r.r_cols.(i) key.(i + 1)
+        done;
+        Vec.push r.r_levels level;
+        row
+      end
+    in
+    let packed = pack ~arity row in
+    Vec.push e.e_order packed;
+    for i = 0 to arity - 1 do
+      posting_push e.e_at.(i) key.(i + 1) packed
+    done;
+    Key_table.add idx.members key packed;
     true
   end
+
+let insert_key idx key ~level =
+  Obs.Probe.hit "engine.insert";
+  file_key idx key ~level
 
 (** [insert ?level f idx] — add [f]; [false] when it was already present.
     The probe fires before [f]'s symbols are interned. *)
 let insert ?(level = 0) f idx =
   Obs.Probe.hit "engine.insert";
-  let key = key_intern idx f in
-  if Key_table.mem idx.members key then begin
-    Obs.Metrics.incr idx.c_duplicates;
-    false
-  end
-  else begin
-    add_row idx key ~level;
-    true
-  end
+  file_key idx (key_intern idx f) ~level
 
 (** [remove f idx] — delete [f]; [false] when it was not present.
     Posting lists are pruned eagerly (order-preserving compaction, with
@@ -331,28 +322,16 @@ let remove f idx =
           | None -> ());
           true)
 
-(* The level cell of a stored key's row. *)
-let level_cell idx key k =
-  match Key_table.find_opt idx.members key with
-  | None -> None
-  | Some packed -> (
-      match entry idx key.(0) with
-      | None -> None
-      | Some e -> (
-          match rel_find e (arity_of_packed packed) with
-          | None -> None
-          | Some r -> Some (k r.r_levels (row_of_packed packed))))
-
 let level idx f =
-  match key_find idx f with None -> None | Some key -> level_cell idx key Vec.get
-
-let set_level idx f l =
   match key_find idx f with
-  | None -> invalid_arg "Index.set_level: fact not stored"
+  | None -> None
   | Some key -> (
-      match level_cell idx key (fun v row -> Vec.set v row l) with
-      | Some () -> ()
-      | None -> invalid_arg "Index.set_level: fact not stored")
+      match (Key_table.find_opt idx.members key, entry idx key.(0)) with
+      | Some packed, Some e ->
+          Option.map
+            (fun r -> Vec.get r.r_levels (row_of_packed packed))
+            (rel_find e (arity_of_packed packed))
+      | _ -> None)
 
 let add f idx =
   ignore (insert f idx);

@@ -9,7 +9,7 @@
     semi-naive chase and the {!Joiner} build on.
 
     Every stored fact carries its s-level (Lemma A.1) in a column beside
-    its row: the chase writes it on insert, maintenance rewrites it, and
+    its row: the chase and maintenance write it on insert, and
     {!iter_rows} reads it back without a fact being built.
 
     The API is immutable in style — {!add} returns the store — but the
@@ -68,9 +68,6 @@ val insert : ?level:int -> Fact.t -> t -> bool
     mutate it afterwards. Hits ["engine.insert"] like {!insert}. *)
 val insert_key : t -> int array -> level:int -> bool
 
-(** [mem_key idx key] — is the interned fact key stored? *)
-val mem_key : t -> int array -> bool
-
 (** [intern_fact idx f] — [f]'s key, interning its predicate and then
     its arguments left to right. *)
 val intern_fact : t -> Fact.t -> int array
@@ -80,10 +77,6 @@ val fact_of_key : t -> int array -> Fact.t
 
 (** [level idx f] — the s-level of a stored fact; [None] when absent. *)
 val level : t -> Fact.t -> int option
-
-(** [set_level idx f l] — overwrite a stored fact's s-level.
-    Raises [Invalid_argument] when [f] is not stored. *)
-val set_level : t -> Fact.t -> int -> unit
 
 (** [remove f idx] — delete [f] from the store and prune every posting
     list it was filed under; [false] when it was not present. Counts

@@ -9,7 +9,8 @@ open Relational
 open Relational.Term
 
 (* Where a result's s-levels live: the naive loop's table, or the level
-   column of the indexed engine's store. *)
+   column of the indexed engine's store (which is then the result's
+   index). *)
 type levels = Table of (Fact.t, int) Hashtbl.t | Stored of Engine.Index.t
 
 type result = {
@@ -17,7 +18,6 @@ type result = {
   levels : levels;
   saturated : bool;
   max_level : int;
-  index : Engine.Index.t option;  (** the engine's store, when indexed *)
   engine_result : Engine.Saturate.result option;
   outcome : Obs.Budget.outcome;
   span : Obs.Span.t;
@@ -219,7 +219,6 @@ let exec_naive ~policy ~budget ~span ~on_pass (init : naive_init) sigma =
     levels = Table level_of;
     saturated = !saturated;
     max_level = !level;
-    index = None;
     engine_result = None;
     outcome;
     span;
@@ -304,7 +303,6 @@ let of_engine_result ~span (r : Engine.Saturate.result) =
     levels = Stored r.Engine.Saturate.index;
     saturated = r.Engine.Saturate.saturated;
     max_level = r.Engine.Saturate.max_level;
-    index = Some r.Engine.Saturate.index;
     engine_result = Some r;
     outcome = r.Engine.Saturate.outcome;
     span;
@@ -390,9 +388,9 @@ let max_level (r : result) = r.max_level
 (** [index r] — the chased instance as an {!Engine.Index.t}, reusing the
     engine's store when the run was indexed. *)
 let index (r : result) =
-  match r.index with
-  | Some idx -> idx
-  | None -> Engine.Index.of_instance (Lazy.force r.instance)
+  match r.levels with
+  | Stored idx -> idx
+  | Table _ -> Engine.Index.of_instance (Lazy.force r.instance)
 
 (* s-level census; derived from the stored levels, so it agrees between
    engines (a fact derived at pass ℓ has s-level ℓ under both). *)
