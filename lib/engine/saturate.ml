@@ -125,10 +125,11 @@ let compile_rule i r =
     k_heads = [||];
   }
 
-(* [pivots] for this pass: per body position, the body compiled with that
-   atom first and the others after it in body order; a predicate
-   repeated in the body is pivoted once per occurrence (the trigger-key
-   table deduplicates the bindings). *)
+(* Compile [k] against the store as it is at the start of a pass: per
+   body position (pivot), the body with that atom first and the others
+   after it in body order — a predicate repeated in the body is pivoted
+   once per occurrence, and the trigger-key table deduplicates the
+   bindings — plus the head, for [Restricted]'s check. *)
 let compile_pass idx k =
   let slot = k.k_slot in
   let body = Array.of_list (List.map (Index.compile_atom idx ~slot) k.k_rule.body) in
