@@ -507,9 +507,9 @@ let test_posting_order_and_remove () =
 (* Regression: membership buckets must spread. Partitioning the table
    into shards picked by the hash's low bits, each a table bucketed by
    the low bits of that same hash, left a shard using 1/16 of its
-   buckets: over 122k fact keys the mean chain was 29.6 and the longest
-   46. One table hashing a mix of every cell keeps both near the load
-   factor. *)
+   buckets: over 122k fact keys the mean chain was about 30 and the
+   longest near 50. One table hashing a mix of every cell keeps both
+   near the load factor. *)
 let test_membership_spread () =
   let idx = Engine.Index.create () in
   for i = 0 to 121_999 do
