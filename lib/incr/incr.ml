@@ -152,8 +152,8 @@ let create ?(engine = `Indexed) ?max_level ?obs sigma db =
   in
   let base = Hashtbl.create (Instance.size db) in
   Instance.iter (fun f -> Hashtbl.replace base f ()) db;
-  assemble sigma ~idx:(Tgds.Chase.index r) ~base ~derivs ~uses ~fired ~level:(Tgds.Chase.max_level r)
-    ~sat:(Tgds.Chase.saturated r)
+  assemble sigma ~idx:(Tgds.Chase.index r) ~base ~derivs ~uses ~fired
+    ~level:(Tgds.Chase.max_level r) ~sat:(Tgds.Chase.saturated r)
 
 (* ---- the delta fixpoint over the live store --------------------------- *)
 
