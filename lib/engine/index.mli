@@ -52,6 +52,10 @@ val to_instance : t -> Instance.t
     through the matching API). *)
 val iter_rows : t -> (int -> int -> int array -> unit) -> unit
 
+(** [iter_keys idx f] — {!iter_rows} with each row as a fresh fact key
+    [[| pid; cid1; …; cidn |]]: [f key level]. *)
+val iter_keys : t -> (int array -> int -> unit) -> unit
+
 (** [add f idx] — file [f] under every argument position. No-op when the
     fact is already present. Mutates [idx] in place and returns it. *)
 val add : Fact.t -> t -> t

@@ -191,8 +191,7 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
   let overflow () = !violation <> None in
   let take_snapshot () =
     let facts = ref [] in
-    Index.iter_rows idx (fun pid l cells ->
-        facts := (Index.fact_of_key idx (Array.append [| pid |] cells), l) :: !facts);
+    Index.iter_keys idx (fun key l -> facts := (Index.fact_of_key idx key, l) :: !facts);
     {
       snap_facts = List.rev !facts;
       snap_level = !level;
@@ -411,11 +410,15 @@ let make_span obs =
   | Some parent -> Obs.Span.enter parent "saturate"
   | None -> Obs.Span.root "saturate"
 
-(* Delta entries for stored facts: their keys and current levels. *)
+(* Delta entries for stored facts: their keys and current levels. A
+   stored fact's symbols are all interned, so [intern_fact] only looks
+   them up. *)
 let stored_delta idx facts =
   List.map
     (fun f ->
-      (Index.intern_fact idx f, Option.value ~default:0 (Index.level idx f)))
+      match Index.level idx f with
+      | Some l -> (Index.intern_fact idx f, l)
+      | None -> invalid_arg "Saturate.continue: a delta fact is not in the store")
     facts
 
 let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
@@ -425,7 +428,7 @@ let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
   (* the database is the first delta, each relation in [Instance.iter]
      order — the order the store just filed it in *)
   let delta = ref [] in
-  Index.iter_rows idx (fun pid _ cells -> delta := (Array.append [| pid |] cells, 0) :: !delta);
+  Index.iter_keys idx (fun key _ -> delta := (key, 0) :: !delta);
   let init =
     {
       i_idx = idx;

@@ -116,7 +116,8 @@ val resume :
     store after [delta] has been added to it: pass [level + 1] enumerates
     the triggers whose body touches [delta], and the loop runs to
     saturation (or a budget cut). [index] is mutated in place; [delta]'s
-    facts must already be stored in it with their s-levels.
+    facts must already be stored in it with their s-levels
+    ([Invalid_argument] otherwise).
 
     This is the incremental-maintenance entry point. Its trigger-key
     table starts empty, which is sound iff no previously fired trigger

@@ -373,8 +373,8 @@ let checkpoint t : Tgds.Chase.snapshot =
   ensure_saturated t;
   let lev = canonical_levels t in
   let snap_facts = ref [] in
-  Engine.Index.iter_rows t.idx (fun pid stored cells ->
-      let f = Engine.Index.fact_of_key t.idx (Array.append [| pid |] cells) in
+  Engine.Index.iter_keys t.idx (fun key stored ->
+      let f = Engine.Index.fact_of_key t.idx key in
       let l = match Hashtbl.find_opt lev f with Some l -> l | None -> stored in
       snap_facts := (f, l) :: !snap_facts);
   let snap_facts = List.rev !snap_facts in

@@ -332,6 +332,21 @@ let test_delta_restriction () =
   check_int "delta A(a): one hom" 1 (homs [ fact "A" [ "a" ] ]);
   check_int "delta of another predicate: no hom" 0 (homs [ fact "S" [ "a"; "b" ] ])
 
+let test_continue_unstored_delta () =
+  (* [continue]'s delta must already be stored: a fact that is not is
+     refused, and refusing it interns none of its symbols *)
+  let idx = Engine.Index.of_instance (Instance.of_facts [ fact "A" [ "a" ] ]) in
+  let rules =
+    [ { Engine.Saturate.body = [ atom "A" [ v "x" ] ]; head = [ atom "B" [ v "x" ] ] } ]
+  in
+  let syms = Engine.Symtab.size (Engine.Index.symtab idx) in
+  check "unstored delta fact refused" true
+    (match Engine.Saturate.continue rules ~index:idx ~level:0 [ fact "A" [ "zz" ] ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check_int "no symbol interned" syms (Engine.Symtab.size (Engine.Index.symtab idx));
+  check_int "store unchanged" 1 (Engine.Index.size idx)
+
 let test_stats_reported () =
   let sigma =
     [ tgd [ atom "S" [ v "x"; v "y" ]; atom "A" [ v "x" ] ] [ atom "B" [ v "x" ] ] ]
@@ -374,6 +389,8 @@ let () =
         [
           Alcotest.test_case "index postings" `Quick test_index_postings;
           Alcotest.test_case "delta restriction" `Quick test_delta_restriction;
+          Alcotest.test_case "continue refuses an unstored delta" `Quick
+            test_continue_unstored_delta;
           Alcotest.test_case "saturation stats" `Quick test_stats_reported;
           Alcotest.test_case "enumerate corners" `Quick test_enumerate_corners;
         ] );
