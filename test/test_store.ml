@@ -458,9 +458,22 @@ let test_pinned_scale_image () =
      true/0/0/0/0 false/0/5/1/4 false/0/7/0/7 false/6/0/0/0 false/2/4/1/3 \
      false/1/0/0/0 false/0/9/0/9 true/0/0/0/0 false/3/0/0/0 false/10/16/5/1"
     (String.concat " " effects);
+  let im = Incr.image t in
   Alcotest.(check string) "image digest"
     "0d0548734d0177f4fe7e820eb1a35aaf"
-    (digest (Incr.image t))
+    (digest im);
+  (* canonical s-levels, support counts and the rebuild, at scale *)
+  let ck = Incr.checkpoint t in
+  Alcotest.(check string) "checkpoint digest" "718ff8c072d878aa0b438221141ed99a"
+    (digest
+       (String.concat "\n"
+          (List.map
+             (fun (f, l) -> Fmt.str "%a@%d" Fact.pp f l)
+             ck.Chase.snap_facts)));
+  Alcotest.(check int) "support-count sum" 3714
+    (Instance.fold (fun f acc -> acc + Incr.support_count t f) (Incr.instance t) 0);
+  Alcotest.(check bool) "image round-trips at scale" true
+    (String.equal (Incr.image (Result.get_ok (Incr.of_image scale_sigma im))) im)
 
 (* ------------------------------------------------------------------ *)
 (* Store-level semantics the consumers rely on                          *)
