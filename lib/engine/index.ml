@@ -165,8 +165,8 @@ let key_find idx f =
         Some key
       with Unknown -> None)
 
-let mem f idx =
-  match key_find idx f with None -> false | Some key -> Key_table.mem idx.members key
+let mem_key idx key = Key_table.mem idx.members key
+let mem f idx = match key_find idx f with None -> false | Some key -> mem_key idx key
 
 let size idx = Key_table.length idx.members
 
@@ -286,43 +286,44 @@ let insert ?(level = 0) f idx =
     Posting lists are pruned eagerly (order-preserving compaction, with
     empty posting vectors dropped) so candidate counts stay exact, and
     the freed row slot is recycled. *)
-let remove f idx =
-  match key_find idx f with
+let remove_key idx key =
+  match Key_table.find_opt idx.members key with
   | None -> false
-  | Some key -> (
-      match Key_table.find_opt idx.members key with
-      | None -> false
-      | Some packed ->
-          Obs.Metrics.incr idx.c_removes;
-          Key_table.remove idx.members key;
-          let pid = key.(0) and arity = Array.length key - 1 in
-          let e = match entry idx pid with Some e -> e | None -> assert false in
-          ignore (Vec.remove_value e.e_order packed);
-          for i = 0 to arity - 1 do
-            let tbl = e.e_at.(i) in
-            let cid = key.(i + 1) in
-            match Hashtbl.find_opt tbl cid with
-            | None -> ()
-            | Some (One r) -> if r = packed then Hashtbl.remove tbl cid
-            | Some (Many v) ->
-                ignore (Vec.remove_value v packed);
-                if Vec.length v = 0 then Hashtbl.remove tbl cid
-          done;
-          (match rel_find e arity with
-          | Some r -> Vec.push r.r_free (row_of_packed packed)
-          | None -> ());
-          true)
+  | Some packed ->
+      Obs.Metrics.incr idx.c_removes;
+      Key_table.remove idx.members key;
+      let pid = key.(0) and arity = Array.length key - 1 in
+      let e = match entry idx pid with Some e -> e | None -> assert false in
+      ignore (Vec.remove_value e.e_order packed);
+      for i = 0 to arity - 1 do
+        let tbl = e.e_at.(i) in
+        let cid = key.(i + 1) in
+        match Hashtbl.find_opt tbl cid with
+        | None -> ()
+        | Some (One r) -> if r = packed then Hashtbl.remove tbl cid
+        | Some (Many v) ->
+            ignore (Vec.remove_value v packed);
+            if Vec.length v = 0 then Hashtbl.remove tbl cid
+      done;
+      (match rel_find e arity with
+      | Some r -> Vec.push r.r_free (row_of_packed packed)
+      | None -> ());
+      true
 
-let level idx f =
-  match key_find idx f with
+let remove f idx = match key_find idx f with None -> false | Some key -> remove_key idx key
+
+let level_key idx key =
+  match Key_table.find_opt idx.members key with
   | None -> None
-  | Some key -> (
-      match (Key_table.find_opt idx.members key, entry idx key.(0)) with
-      | Some packed, Some e ->
+  | Some packed -> (
+      match entry idx key.(0) with
+      | None -> None
+      | Some e ->
           Option.map
             (fun r -> Vec.get r.r_levels (row_of_packed packed))
-            (rel_find e (arity_of_packed packed))
-      | _ -> None)
+            (rel_find e (arity_of_packed packed)))
+
+let level idx f = match key_find idx f with None -> None | Some key -> level_key idx key
 
 let add f idx =
   ignore (insert f idx);
@@ -334,11 +335,34 @@ let of_instance inst =
   idx
 
 let intern_fact = key_intern
+let find_key = key_find
 
 let fact_of_key idx key =
   let st = idx.symtab in
   Fact.make (Symtab.extern_pred st key.(0))
     (List.init (Array.length key - 1) (fun i -> Symtab.extern st key.(i + 1)))
+
+(* [Fact.compare] is [Stdlib.compare] on [{ pred; args }]: the predicate
+   names as strings, then the argument lists lexicographically, a proper
+   prefix first; a [Named] constant sorts before every [Null], names by
+   string and nulls by number. Equal ids spell equal symbols, so only
+   cells that differ are externed. *)
+let rec compare_cells st (a : int array) (b : int array) i =
+  let na = Array.length a and nb = Array.length b in
+  if i = na then if i = nb then 0 else -1
+  else if i = nb then 1
+  else if a.(i) = b.(i) then compare_cells st a b (i + 1)
+  else
+    match (Symtab.extern st a.(i), Symtab.extern st b.(i)) with
+    | Named x, Named y -> String.compare x y
+    | Named _, Null _ -> -1
+    | Null _, Named _ -> 1
+    | Null x, Null y -> Int.compare x y
+
+let compare_keys idx (a : int array) (b : int array) =
+  let st = idx.symtab in
+  if a.(0) = b.(0) then compare_cells st a b 1
+  else String.compare (Symtab.extern_pred st a.(0)) (Symtab.extern_pred st b.(0))
 
 (* Storage order: pid-ascending over the entry table, each entry's
    [e_order] in append order. [e_order] only ever sees order-preserving

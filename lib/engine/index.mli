@@ -76,19 +76,36 @@ val insert_key : t -> int array -> level:int -> bool
     its arguments left to right. *)
 val intern_fact : t -> Fact.t -> int array
 
+(** [find_key idx f] — [f]'s key when every symbol of [f] is interned;
+    never assigns an id. *)
+val find_key : t -> Fact.t -> int array option
+
 (** [fact_of_key idx key] — the fact an interned key spells. *)
 val fact_of_key : t -> int array -> Fact.t
 
-(** [level idx f] — the s-level of a stored fact; [None] when absent. *)
+(** [compare_keys idx a b] — {!Relational.Fact.compare} of the facts
+    [a] and [b] spell, read off their ids: only the cells where the keys
+    differ are externed. [0] iff [a] and [b] are equal. *)
+val compare_keys : t -> int array -> int array -> int
+
+(** [level_key idx key] — the s-level of a stored fact key; [None] when
+    absent. *)
+val level_key : t -> int array -> int option
+
+(** [level idx f] — {!level_key} of [f]'s key. *)
 val level : t -> Fact.t -> int option
 
-(** [remove f idx] — delete [f] from the store and prune every posting
-    list it was filed under; [false] when it was not present. Counts
-    against [index.removes]. The incremental maintenance layer's
+(** [remove_key idx key] — delete the fact [key] spells and prune every
+    posting list it was filed under; [false] when it was not present.
+    Counts against [index.removes]. The incremental maintenance layer's
     over-delete phase is the intended caller — the chase itself never
     retracts. *)
+val remove_key : t -> int array -> bool
+
+(** [remove f idx] — {!remove_key} of [f]'s key. *)
 val remove : Fact.t -> t -> bool
 
+val mem_key : t -> int array -> bool
 val mem : Fact.t -> t -> bool
 
 (** Number of (distinct) facts, in O(1). *)

@@ -13,8 +13,9 @@
     variables in sorted order and [nb ..] its existentials. A trigger's
     key is [[| rule; cid per body variable |]], the naive chase's key
     interned. Heads are grounded straight into fact keys and filed with
-    {!Index.insert_key} together with their s-level; a [Fact.t] is only
-    built for an [on_fire] firing or an [on_pass] snapshot.
+    {!Index.insert_key} together with their s-level; an [on_fire]
+    firing grounds the body the same way, so a [Fact.t] is only built
+    for an [on_pass] snapshot.
 
     Crash safety: the state at a clean pass boundary is fully described by
     the facts with their s-levels plus a handful of scalars — the delta of
@@ -52,23 +53,26 @@ type result = {
 }
 
 type firing = {
+  fire_index : Index.t;
   fire_rule : int;
   fire_key : int array;
-  fire_body : Fact.t list;
-  fire_outs : (Fact.t * bool) list;
+  fire_body : int array list;
+  fire_outs : (int array * bool) list;
 }
 
 (* An atom argument resolved against the rule's slots. *)
 type arg = Cst of const | Slot of int
 
-(* A head atom, grounded straight into a fact key. Its predicate and
-   constant ids are interned at the first grounding — exactly when the
-   fact-building path interned them — and cached from then on. *)
-type head = {
-  h_pred : string;
-  mutable h_pid : int;  (* -1 until interned *)
-  h_args : arg array;
-  h_cids : int array;  (* interned constant per [Cst] position, or -1 *)
+(* A body or head atom, grounded straight into a fact key. Its predicate
+   and constant ids are interned at the first grounding — for a head,
+   exactly when the fact-building path interned them; a body's symbols
+   are interned already, since it matched stored facts — and cached
+   from then on. *)
+type gatom = {
+  g_pred : string;
+  mutable g_pid : int;  (* -1 until interned *)
+  g_args : arg array;
+  g_cids : int array;  (* interned constant per [Cst] position, or -1 *)
 }
 
 (* A rule with its slot assignment; [k_pivots]/[k_heads] are recompiled
@@ -80,8 +84,8 @@ type crule = {
   k_nbody : int;  (* body variables: slots [0 .. k_nbody - 1] *)
   k_nexist : int;  (* existentials: slots [k_nbody ..] *)
   k_slot : string -> int;
-  k_body : (string * arg array) list;  (* for [on_fire] firings *)
-  k_head : head array;
+  k_body : gatom array;  (* for [on_fire] firings *)
+  k_head : gatom array;
   k_key : int array;  (* trigger-key scratch *)
   mutable k_pivots : Index.catom array array;
   mutable k_heads : Index.catom array;
@@ -100,6 +104,10 @@ let compile_rule i r =
     Array.of_list
       (List.map (function Const c -> Cst c | Var x -> Slot (slot x)) (Atom.args a))
   in
+  let gatom a =
+    let g_args = args a in
+    { g_pred = Atom.pred a; g_pid = -1; g_args; g_cids = Array.make (Array.length g_args) (-1) }
+  in
   let nbody = VarSet.cardinal bv in
   {
     k_index = i;
@@ -107,19 +115,8 @@ let compile_rule i r =
     k_nbody = nbody;
     k_nexist = VarSet.cardinal ev;
     k_slot = slot;
-    k_body = List.map (fun a -> (Atom.pred a, args a)) r.body;
-    k_head =
-      Array.of_list
-        (List.map
-           (fun a ->
-             let h_args = args a in
-             {
-               h_pred = Atom.pred a;
-               h_pid = -1;
-               h_args;
-               h_cids = Array.make (Array.length h_args) (-1);
-             })
-           r.head);
+    k_body = Array.of_list (List.map gatom r.body);
+    k_head = Array.of_list (List.map gatom r.head);
     k_key = Array.make (nbody + 1) i;
     k_pivots = [||];
     k_heads = [||];
@@ -201,21 +198,13 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
       snap_counters = Obs.Metrics.counters m;
     }
   in
-  let ground_body k =
-    List.map
-      (fun (p, args) ->
-        Fact.make p
-          (Array.to_list
-             (Array.map (function Cst c -> c | Slot s -> Symtab.extern st benv.(s)) args)))
-      k.k_body
-  in
-  (* The fact key of head [h] under the firing's bindings. Interning
+  (* The fact key of atom [g] under the firing's bindings. Interning
      follows the fact-building order — predicate, then arguments left to
      right — so symbol ids come out as they always did. *)
-  let head_key k h =
-    if h.h_pid < 0 then h.h_pid <- Symtab.intern_pred st h.h_pred;
-    let args = h.h_args in
-    let key = Array.make (Array.length args + 1) h.h_pid in
+  let ground_key k g =
+    if g.g_pid < 0 then g.g_pid <- Symtab.intern_pred st g.g_pred;
+    let args = g.g_args in
+    let key = Array.make (Array.length args + 1) g.g_pid in
     for i = 0 to Array.length args - 1 do
       key.(i + 1) <-
         (match args.(i) with
@@ -225,8 +214,8 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
             if null_ids.(e) < 0 then null_ids.(e) <- Symtab.intern st nulls.(e);
             null_ids.(e)
         | Cst c ->
-            if h.h_cids.(i) < 0 then h.h_cids.(i) <- Symtab.intern st c;
-            h.h_cids.(i))
+            if g.g_cids.(i) < 0 then g.g_cids.(i) <- Symtab.intern st c;
+            g.g_cids.(i))
     done;
     key
   in
@@ -338,7 +327,7 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
                   null_ids.(e) <- -1
                 done;
                 let land_head h =
-                  let hk = head_key k h in
+                  let hk = ground_key k h in
                   let fresh = Index.insert_key idx hk ~level:(body_level + 1) in
                   if fresh then begin
                     incr new_count;
@@ -355,11 +344,11 @@ let exec ~policy ~budget ~span ~on_pass ~on_fire init rules =
                     let outs = List.map land_head (Array.to_list k.k_head) in
                     cb
                       {
+                        fire_index = idx;
                         fire_rule = k.k_index;
                         fire_key = key;
-                        fire_body = ground_body k;
-                        fire_outs =
-                          List.map (fun (hk, fresh) -> (Index.fact_of_key idx hk, fresh)) outs;
+                        fire_body = List.map (ground_key k) (Array.to_list k.k_body);
+                        fire_outs = outs;
                       });
                 Array.fill benv 0 k.k_nbody (-1);
                 (* the budget is re-checked trigger-atomically: the
@@ -410,16 +399,15 @@ let make_span obs =
   | Some parent -> Obs.Span.enter parent "saturate"
   | None -> Obs.Span.root "saturate"
 
-(* Delta entries for stored facts: their keys and current levels. A
-   stored fact's symbols are all interned, so [intern_fact] only looks
-   them up. *)
-let stored_delta idx facts =
+(* Delta entries for stored fact keys: the keys with their current
+   levels. *)
+let stored_delta idx keys =
   List.map
-    (fun f ->
-      match Index.level idx f with
-      | Some l -> (Index.intern_fact idx f, l)
+    (fun key ->
+      match Index.level_key idx key with
+      | Some l -> (key, l)
       | None -> invalid_arg "Saturate.continue: a delta fact is not in the store")
-    facts
+    keys
 
 let run ?(policy = Oblivious) ?(budget = Obs.Budget.unlimited) ?obs ?on_pass
     ?on_fire rules db =

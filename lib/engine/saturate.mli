@@ -61,14 +61,17 @@ type result = {
     the incremental-maintenance ledger records derivations with. Firings
     are reported in the deterministic sequential firing order. *)
 type firing = {
+  fire_index : Index.t;  (** the store the run fills; its {!Index.symtab} spells every key below *)
   fire_rule : int;  (** index into the rule list *)
   fire_key : int array;
       (** the trigger's identity, interned: [[| rule index; symbol id of
-          each body variable, in sorted variable order |]] (ids of the
-          index's {!Index.symtab}) *)
-  fire_body : Fact.t list;  (** grounded body, in body-atom order *)
-  fire_outs : (Fact.t * bool) list;
-      (** grounded head facts; [true] = fact was new to the store *)
+          each body variable, in sorted variable order |]] *)
+  fire_body : int array list;
+      (** grounded body as fact keys [[| pid; cid1; …; cidn |]], in
+          body-atom order *)
+  fire_outs : (int array * bool) list;
+      (** grounded head fact keys, as stored; [true] = fact was new to
+          the store *)
 }
 
 (** [run ?policy ?budget ?obs ?on_pass rules db] — saturate [db] under
@@ -115,9 +118,10 @@ val resume :
     drive the semi-naive fixpoint over an {e existing, already saturated}
     store after [delta] has been added to it: pass [level + 1] enumerates
     the triggers whose body touches [delta], and the loop runs to
-    saturation (or a budget cut). [index] is mutated in place; [delta]'s
-    facts must already be stored in it with their s-levels
-    ([Invalid_argument] otherwise).
+    saturation (or a budget cut). [index] is mutated in place; [delta]
+    lists fact keys [[| pid; cid1; …; cidn |]] of [index]'s symbol table,
+    which must already be stored in it with their s-levels
+    ([Invalid_argument] otherwise). Keys are read, never mutated.
 
     This is the incremental-maintenance entry point. Its trigger-key
     table starts empty, which is sound iff no previously fired trigger
@@ -135,5 +139,5 @@ val continue :
   rule list ->
   index:Index.t ->
   level:int ->
-  Fact.t list ->
+  int array list ->
   result

@@ -1,12 +1,22 @@
 (** Incremental chase maintenance; see the interface for the contract.
 
-    The ledger is three hash tables over one mutable [derivation] record
-    per fired trigger: [derivs] maps a fact to the derivations producing
-    it, [uses] maps a fact to the derivations consuming it, [fired] maps
-    a trigger key to its (live) derivation. A derivation dies when any of
-    its body facts is over-deleted; its key leaves [fired] at the same
-    moment, so the trigger may legitimately refire during repair.
-    Dead records are pruned lazily from the per-fact lists.
+    The store runs on interned fact keys [[| pid; cid1; …; cidn |]], the
+    keys {!Engine.Index} files; a [Fact.t] is built only at the API
+    edges (mutations in, {!instance}/{!base}/{!checkpoint} out). The
+    ledger is two key tables over one mutable [derivation] record per
+    fired trigger: [facts] maps a fact key to the derivations producing
+    it and those consuming it, [fired] maps a trigger key to its (live)
+    derivation. A derivation dies when any of its body facts is
+    over-deleted; its key leaves [fired] at the same moment, so the
+    trigger may legitimately refire during repair. Dead records are
+    pruned lazily from the per-fact lists.
+
+    Two orders of the fact-based ledger survive on keys, read off the
+    symbols with {!Engine.Index.compare_keys}: a derivation's body and
+    head are kept in [Fact.compare] order without duplicates (the image
+    writes them so), and the over-delete set reaches re-derive and
+    propagate in [Fact.compare] order (it decides firing order, hence
+    null ids and storage order).
 
     Soundness of running {!Engine.Saturate.continue} with a fresh
     trigger-key table after every mutation: a trigger enumerated by the
@@ -18,14 +28,20 @@
 
 open Relational
 
-(* a trigger's interned key, [| rule; symbol id per body variable |] *)
-type key = int array
+module Key_table = Engine.Index.Key_table
 
 type derivation = {
-  d_key : key;
-  d_body : Fact.t list;  (* grounded body, deduplicated, sorted *)
-  d_outs : Fact.t list;  (* grounded head, deduplicated, sorted *)
+  d_key : int array;  (* the trigger's key, [| rule; symbol id per body variable |] *)
+  d_body : int array list;  (* grounded body fact keys, deduplicated, sorted *)
+  d_outs : int array list;  (* grounded head fact keys, deduplicated, sorted *)
   mutable d_live : bool;
+}
+
+(* A fact's place in the ledger: the derivations producing it and the
+   derivations consuming it, dead ones included until pruned. *)
+type support = {
+  mutable s_derivs : derivation list;
+  mutable s_uses : derivation list;
 }
 
 type op = Insert of Fact.t | Delete of Fact.t
@@ -42,10 +58,9 @@ type effect = {
 type t = {
   rules : Engine.Saturate.rule list;
   idx : Engine.Index.t;  (* the facts with their s-levels *)
-  base : (Fact.t, unit) Hashtbl.t;
-  derivs : (Fact.t, derivation list ref) Hashtbl.t;
-  uses : (Fact.t, derivation list ref) Hashtbl.t;
-  fired : derivation Engine.Index.Key_table.t;
+  base : unit Key_table.t;
+  facts : support Key_table.t;
+  fired : derivation Key_table.t;
   mutable level : int;  (* highest pass number handed to [continue] *)
   mutable sat : bool;
   mutable dirty : bool;  (* a mutation started changing state and died *)
@@ -74,38 +89,47 @@ let ensure_clean t =
 
 (* ---- ledger primitives ------------------------------------------------ *)
 
-let push tbl f d =
-  match Hashtbl.find_opt tbl f with
-  | Some r -> r := d :: !r
-  | None -> Hashtbl.replace tbl f (ref [ d ])
+let support facts key =
+  match Key_table.find_opt facts key with
+  | Some s -> s
+  | None ->
+      let s = { s_derivs = []; s_uses = [] } in
+      Key_table.add facts key s;
+      s
 
-(* Live derivations of [f] in [tbl], pruning dead records in passing. *)
-let live tbl f =
-  match Hashtbl.find_opt tbl f with
+(* Live derivations of [key], pruning dead records in passing. *)
+let live_derivs facts key =
+  match Key_table.find_opt facts key with
   | None -> []
-  | Some r ->
-      let l = List.filter (fun d -> d.d_live) !r in
-      if l = [] then Hashtbl.remove tbl f else r := l;
+  | Some s ->
+      let l = List.filter (fun d -> d.d_live) s.s_derivs in
+      s.s_derivs <- l;
       l
 
-let record ~derivs ~uses ~fired (fir : Engine.Saturate.firing) =
-  let body = List.sort_uniq Fact.compare fir.Engine.Saturate.fire_body in
-  let outs =
-    List.sort_uniq Fact.compare
-      (List.map fst fir.Engine.Saturate.fire_outs)
-  in
-  let d =
-    { d_key = fir.Engine.Saturate.fire_key; d_body = body; d_outs = outs;
-      d_live = true }
-  in
-  Engine.Index.Key_table.replace fired d.d_key d;
-  List.iter (fun f -> push uses f d) body;
-  List.iter (fun f -> push derivs f d) outs
+(* Keys in [Fact.compare] order, duplicates removed. *)
+let canonical idx = function
+  | ([] | [ _ ]) as l -> l
+  | l -> List.sort_uniq (Engine.Index.compare_keys idx) l
+
+let file ~facts ~fired d =
+  Key_table.replace fired d.d_key d;
+  List.iter (fun k -> let s = support facts k in s.s_uses <- d :: s.s_uses) d.d_body;
+  List.iter (fun k -> let s = support facts k in s.s_derivs <- d :: s.s_derivs) d.d_outs
+
+let record ~facts ~fired (fir : Engine.Saturate.firing) =
+  let idx = fir.Engine.Saturate.fire_index in
+  file ~facts ~fired
+    {
+      d_key = fir.Engine.Saturate.fire_key;
+      d_body = canonical idx fir.Engine.Saturate.fire_body;
+      d_outs = canonical idx (List.map fst fir.Engine.Saturate.fire_outs);
+      d_live = true;
+    }
 
 let kill t d =
   d.d_live <- false;
-  (match Engine.Index.Key_table.find_opt t.fired d.d_key with
-  | Some d' when d' == d -> Engine.Index.Key_table.remove t.fired d.d_key
+  (match Key_table.find_opt t.fired d.d_key with
+  | Some d' when d' == d -> Key_table.remove t.fired d.d_key
   | _ -> ())
 
 (* ---- construction ----------------------------------------------------- *)
@@ -115,7 +139,7 @@ let check_engine : Tgds.Chase.engine -> unit = function
   | `Indexed -> ()
 
 (* The store around its tables. *)
-let assemble sigma ~idx ~base ~derivs ~uses ~fired ~level ~sat =
+let assemble sigma ~idx ~base ~facts ~fired ~level ~sat =
   let m = Engine.Index.metrics idx in
   {
     rules =
@@ -125,8 +149,7 @@ let assemble sigma ~idx ~base ~derivs ~uses ~fired ~level ~sat =
         sigma;
     idx;
     base;
-    derivs;
-    uses;
+    facts;
     fired;
     level;
     sat;
@@ -142,30 +165,28 @@ let assemble sigma ~idx ~base ~derivs ~uses ~fired ~level ~sat =
 
 let create ?(engine = `Indexed) ?max_level ?obs sigma db =
   check_engine engine;
-  let derivs = Hashtbl.create 1024
-  and uses = Hashtbl.create 1024
-  and fired = Engine.Index.Key_table.create 1024 in
+  let facts = Key_table.create 1024 and fired = Key_table.create 1024 in
   let r =
     Tgds.Chase.run ~engine ~policy:Tgds.Chase.Oblivious ?max_level ?obs
-      ~on_fire:(record ~derivs ~uses ~fired)
-      sigma db
+      ~on_fire:(record ~facts ~fired) sigma db
   in
-  let base = Hashtbl.create (Instance.size db) in
-  Instance.iter (fun f -> Hashtbl.replace base f ()) db;
-  assemble sigma ~idx:(Tgds.Chase.index r) ~base ~derivs ~uses ~fired
-    ~level:(Tgds.Chase.max_level r) ~sat:(Tgds.Chase.saturated r)
+  let idx = Tgds.Chase.index r in
+  let base = Key_table.create (Instance.size db) in
+  Instance.iter (fun f -> Key_table.replace base (Engine.Index.intern_fact idx f) ()) db;
+  assemble sigma ~idx ~base ~facts ~fired ~level:(Tgds.Chase.max_level r)
+    ~sat:(Tgds.Chase.saturated r)
 
 (* ---- the delta fixpoint over the live store --------------------------- *)
 
-(* Run [Saturate.continue] from [delta] (already inserted into the index
-   with levels set), recording new derivations. Returns the number of
-   facts the fixpoint added. *)
+(* Run [Saturate.continue] from the fact keys [delta] (already inserted
+   into the index with levels set), recording new derivations. Returns
+   the number of facts the fixpoint added. *)
 let propagate ?obs t delta =
   if delta = [] then 0
   else begin
     let r =
       Engine.Saturate.continue ~policy:Engine.Saturate.Oblivious ?obs
-        ~on_fire:(record ~derivs:t.derivs ~uses:t.uses ~fired:t.fired)
+        ~on_fire:(record ~facts:t.facts ~fired:t.fired)
         t.rules ~index:t.idx ~level:t.level delta
     in
     t.level <- r.Engine.Saturate.max_level;
@@ -184,8 +205,10 @@ let insert ?obs t f =
   Obs.Probe.hit "incr.insert";
   let span = Option.map (fun p -> Obs.Span.enter p "insert") obs in
   Option.iter (fun s -> Obs.Span.set s "fact" (fact_attr f)) span;
+  let found = Engine.Index.find_key t.idx f in
   let eff =
-    if Hashtbl.mem t.base f then begin
+    if match found with Some key -> Key_table.mem t.base key | None -> false
+    then begin
       Obs.Metrics.incr t.c_noops;
       { e_op = Insert f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
         e_rederived = 0; e_deleted = 0 }
@@ -193,14 +216,19 @@ let insert ?obs t f =
     else begin
       Obs.Metrics.incr t.c_inserts;
       t.dirty <- true;
-      Hashtbl.replace t.base f ();
+      (* a fact with a symbol never seen interns it here, predicate
+         first, as the fact-based insert did *)
+      let key =
+        match found with Some key -> key | None -> Engine.Index.intern_fact t.idx f
+      in
+      Key_table.replace t.base key ();
       let repaired =
-        if Engine.Index.mem f t.idx then 0
+        if Engine.Index.mem_key t.idx key then 0
           (* already derivable: it gains base membership, nothing fires —
              every trigger over the existing facts has fired already *)
         else begin
-          ignore (Engine.Index.insert f t.idx);
-          1 + propagate ?obs:span t [ f ]
+          ignore (Engine.Index.insert_key t.idx key ~level:0);
+          1 + propagate ?obs:span t [ key ]
         end
       in
       Obs.Metrics.add t.c_repaired repaired;
@@ -216,22 +244,22 @@ let insert ?obs t f =
     span;
   eff
 
-(* Canonical-ish level of a re-derived fact: base facts are level 0,
+(* Canonical-ish level of a re-derived fact key: base facts are level 0,
    others sit one above their cheapest surviving derivation. Live
    derivations never lost a body fact, so every body level is present. *)
-let relevel t f =
-  if Hashtbl.mem t.base f then 0
+let relevel t key =
+  if Key_table.mem t.base key then 0
   else
     List.fold_left
       (fun acc d ->
         let bl =
           List.fold_left
             (fun m g ->
-              max m (Option.value ~default:0 (Engine.Index.level t.idx g)))
+              max m (Option.value ~default:0 (Engine.Index.level_key t.idx g)))
             0 d.d_body
         in
         min acc (bl + 1))
-      max_int (live t.derivs f)
+      max_int (live_derivs t.facts key)
 
 let delete ?obs t f =
   ensure_saturated t;
@@ -240,52 +268,51 @@ let delete ?obs t f =
   let span = Option.map (fun p -> Obs.Span.enter p "delete") obs in
   Option.iter (fun s -> Obs.Span.set s "fact" (fact_attr f)) span;
   let eff =
-    if not (Hashtbl.mem t.base f) then begin
-      Obs.Metrics.incr t.c_noops;
-      { e_op = Delete f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
-        e_rederived = 0; e_deleted = 0 }
-    end
-    else begin
+    match Engine.Index.find_key t.idx f with
+    | Some key when Key_table.mem t.base key ->
       Obs.Metrics.incr t.c_deletes;
       t.dirty <- true;
-      Hashtbl.remove t.base f;
+      Key_table.remove t.base key;
       (* Phase 1: over-delete. Retract [f] and, transitively, every fact
          produced by a derivation that consumed a retracted fact. The
          retracted set is order-independent (a closure), so the phases
          below are deterministic after sorting. *)
       let over = ref [] in
-      let stack = ref [ f ] in
+      let stack = ref [ key ] in
       while !stack <> [] do
         let g = List.hd !stack in
         stack := List.tl !stack;
-        if Engine.Index.remove g t.idx then begin
+        if Engine.Index.remove_key t.idx g then begin
           over := g :: !over;
-          List.iter
-            (fun d ->
-              kill t d;
-              List.iter (fun o -> stack := o :: !stack) d.d_outs)
-            (live t.uses g);
-          Hashtbl.remove t.uses g
+          match Key_table.find_opt t.facts g with
+          | None -> ()
+          | Some s ->
+              List.iter
+                (fun d ->
+                  if d.d_live then begin
+                    kill t d;
+                    List.iter (fun o -> stack := o :: !stack) d.d_outs
+                  end)
+                s.s_uses;
+              s.s_uses <- []
         end
       done;
-      let over = List.sort Fact.compare !over in
+      let over = List.sort (Engine.Index.compare_keys t.idx) !over in
       let overdeleted = List.length over in
       (* Phase 2: re-derive. A retracted fact comes straight back when it
          is still base, or still carries a live derivation (one whose
          body never touched the retracted set). *)
       let red =
         List.filter
-          (fun g -> Hashtbl.mem t.base g || live t.derivs g <> [])
+          (fun g -> Key_table.mem t.base g || live_derivs t.facts g <> [])
           over
       in
-      List.iter (fun g -> ignore (Engine.Index.insert ~level:(relevel t g) g t.idx)) red;
+      List.iter
+        (fun g -> ignore (Engine.Index.insert_key t.idx g ~level:(relevel t g)))
+        red;
       (* Ledger entries of facts that stayed out hold only dead records. *)
       List.iter
-        (fun g ->
-          if not (Engine.Index.mem g t.idx) then begin
-            Hashtbl.remove t.derivs g;
-            Hashtbl.remove t.uses g
-          end)
+        (fun g -> if not (Engine.Index.mem_key t.idx g) then Key_table.remove t.facts g)
         over;
       (* Phase 3: propagate. The re-inserted facts are the delta; the
          invalidated triggers whose bodies survived refire here (and may
@@ -293,7 +320,7 @@ let delete ?obs t f =
          original derivation passed through an existential). *)
       let repaired = propagate ?obs:span t red in
       let deleted =
-        List.length (List.filter (fun g -> not (Engine.Index.mem g t.idx)) over)
+        List.length (List.filter (fun g -> not (Engine.Index.mem_key t.idx g)) over)
       in
       Obs.Metrics.add t.c_overdeleted overdeleted;
       Obs.Metrics.add t.c_rederived (List.length red);
@@ -303,7 +330,10 @@ let delete ?obs t f =
       { e_op = Delete f; e_noop = false; e_repaired = repaired;
         e_overdeleted = overdeleted; e_rederived = List.length red;
         e_deleted = deleted }
-    end
+    | _ ->
+      Obs.Metrics.incr t.c_noops;
+      { e_op = Delete f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
+        e_rederived = 0; e_deleted = 0 }
   in
   Option.iter
     (fun s ->
@@ -324,9 +354,17 @@ let apply ?obs t = function
 let instance t = Engine.Index.to_instance t.idx
 let index t = t.idx
 let size t = Engine.Index.size t.idx
-let base_size t = Hashtbl.length t.base
-let base t = Hashtbl.fold (fun f () acc -> Instance.add_fact f acc) t.base Instance.empty
-let support_count t f = List.length (live t.derivs f)
+let base_size t = Key_table.length t.base
+
+let base t =
+  Key_table.fold
+    (fun key () acc -> Instance.add_fact (Engine.Index.fact_of_key t.idx key) acc)
+    t.base Instance.empty
+
+let support_count t f =
+  match Engine.Index.find_key t.idx f with
+  | None -> 0
+  | Some key -> List.length (live_derivs t.facts key)
 let metrics t = Engine.Index.metrics t.idx
 
 (* ---- checkpointing ---------------------------------------------------- *)
@@ -338,9 +376,9 @@ let metrics t = Engine.Index.metrics t.idx
    of [1 + max body level]. Monotone decreasing fixpoint; terminates
    because levels only shrink. *)
 let canonical_levels t =
-  let lev = Hashtbl.create (size t) in
-  Hashtbl.iter (fun f () -> Hashtbl.replace lev f 0) t.base;
-  let ds = Engine.Index.Key_table.fold (fun _ d acc -> d :: acc) t.fired [] in
+  let lev = Key_table.create (size t) in
+  Key_table.iter (fun key () -> Key_table.replace lev key 0) t.base;
+  let ds = Key_table.fold (fun _ d acc -> d :: acc) t.fired [] in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -349,7 +387,7 @@ let canonical_levels t =
         let bl =
           List.fold_left
             (fun acc g ->
-              match (acc, Hashtbl.find_opt lev g) with
+              match (acc, Key_table.find_opt lev g) with
               | Some m, Some l -> Some (max m l)
               | _ -> None)
             (Some 0) d.d_body
@@ -359,10 +397,10 @@ let canonical_levels t =
         | Some m ->
             List.iter
               (fun o ->
-                match Hashtbl.find_opt lev o with
+                match Key_table.find_opt lev o with
                 | Some cur when cur <= m + 1 -> ()
                 | _ ->
-                    Hashtbl.replace lev o (m + 1);
+                    Key_table.replace lev o (m + 1);
                     changed := true)
               d.d_outs)
       ds
@@ -374,9 +412,8 @@ let checkpoint t : Tgds.Chase.snapshot =
   let lev = canonical_levels t in
   let snap_facts = ref [] in
   Engine.Index.iter_keys t.idx (fun key stored ->
-      let f = Engine.Index.fact_of_key t.idx key in
-      let l = match Hashtbl.find_opt lev f with Some l -> l | None -> stored in
-      snap_facts := (f, l) :: !snap_facts);
+      let l = match Key_table.find_opt lev key with Some l -> l | None -> stored in
+      snap_facts := (Engine.Index.fact_of_key t.idx key, l) :: !snap_facts);
   let snap_facts = List.rev !snap_facts in
   let snap_level = List.fold_left (fun acc (_, l) -> max acc l) 0 snap_facts in
   {
@@ -385,7 +422,7 @@ let checkpoint t : Tgds.Chase.snapshot =
     snap_level;
     snap_saturated = true;
     snap_null_count = Term.null_count ();
-    snap_triggers_fired = Engine.Index.Key_table.length t.fired;
+    snap_triggers_fired = Key_table.length t.fired;
     snap_triggers_dismissed = 0;
     snap_facts;
     snap_counters = Obs.Metrics.counters (metrics t);
@@ -452,38 +489,24 @@ let add_cells b cells =
     add_int b cells.(i)
   done
 
-(* The id of a symbol of a stored fact. Base facts and every fact a
-   live derivation mentions are stored, so their symbols are interned;
-   an image spelling [-1] would only fail at recovery, so refuse now. *)
-let sym_id st c =
-  let id = Engine.Symtab.find_int st c in
-  if id < 0 then invalid_arg "Incr.image: symbol not interned";
-  id
+(* the fact key [| pid; c1; …; cn |] as the row [pid,c1,…,cn] *)
+let add_row b key =
+  Buffer.add_char b '[';
+  add_int b key.(0);
+  for i = 1 to Array.length key - 1 do
+    Buffer.add_char b ',';
+    add_int b key.(i)
+  done;
+  Buffer.add_char b ']'
 
-let pred_id st p =
-  let id = Engine.Symtab.find_pred_int st p in
-  if id < 0 then invalid_arg "Incr.image: predicate not interned";
-  id
-
-(* Facts by the ids their symbols hold, comma-separated. Plain
-   recursion: this runs once per ledger fact, and a closure per call
-   would dominate the encoder's allocation. *)
-let rec add_args b st = function
+(* Rows, comma-separated. Plain recursion: this runs once per ledger
+   row, and a closure per call would dominate the encoder's allocation. *)
+let rec add_rows b = function
   | [] -> ()
-  | c :: rest ->
-      Buffer.add_char b ',';
-      add_int b (sym_id st c);
-      add_args b st rest
-
-let rec add_facts b st = function
-  | [] -> ()
-  | f :: rest ->
-      Buffer.add_char b '[';
-      add_int b (pred_id st (Fact.pred f));
-      add_args b st (Fact.args f);
-      Buffer.add_char b ']';
+  | key :: rest ->
+      add_row b key;
       if rest <> [] then Buffer.add_char b ',';
-      add_facts b st rest
+      add_rows b rest
 
 (* Interned keys, flattened: row [i] of a [keys] array of width [w] is
    [keys.(i * w) .. keys.(i * w + w - 1)], padded with [pad] — below
@@ -492,8 +515,12 @@ let rec add_facts b st = function
    comparisons off the store's scattered heap. *)
 let pad = -2
 
-let fill_args keys st off args =
-  List.iteri (fun j c -> keys.(off + j) <- sym_id st c) args
+(* [rows] flattened, with the width *)
+let flatten (rows : int array array) =
+  let width = Array.fold_left (fun w key -> max w (Array.length key)) 1 rows in
+  let keys = Array.make (Array.length rows * width) pad in
+  Array.iteri (fun i key -> Array.blit key 0 keys (i * width) (Array.length key)) rows;
+  (keys, width)
 
 (* [0 .. n-1] ordered by their rows in [keys] *)
 let sort_keyed (keys : int array) ~width n =
@@ -568,14 +595,8 @@ let image t =
       Buffer.add_char b ']');
   (* base facts [pid,c1,…,cn], ordered by that interned key *)
   Buffer.add_string b "],\"base\":[";
-  let base = Array.of_list (Hashtbl.fold (fun f () acc -> f :: acc) t.base []) in
-  let width = Array.fold_left (fun w f -> max w (1 + Fact.arity f)) 1 base in
-  let keys = Array.make (Array.length base * width) pad in
-  Array.iteri
-    (fun i f ->
-      keys.(i * width) <- pred_id st (Fact.pred f);
-      fill_args keys st ((i * width) + 1) (Fact.args f))
-    base;
+  let base = Array.of_list (Key_table.fold (fun key () acc -> key :: acc) t.base []) in
+  let keys, width = flatten base in
   Array.iteri
     (fun n i ->
       if n > 0 then Buffer.add_char b ',';
@@ -586,14 +607,8 @@ let image t =
   (* live derivations [rule,[key ids],[body facts],[head facts]], ordered
      by interned trigger key [rule,id or -1 per body variable] *)
   Buffer.add_string b "],\"ledger\":[";
-  let ledger =
-    Array.of_list (Engine.Index.Key_table.fold (fun _ d acc -> d :: acc) t.fired [])
-  in
-  let width = Array.fold_left (fun w d -> max w (Array.length d.d_key)) 1 ledger in
-  let keys = Array.make (Array.length ledger * width) pad in
-  Array.iteri
-    (fun i d -> Array.blit d.d_key 0 keys (i * width) (Array.length d.d_key))
-    ledger;
+  let ledger = Array.of_list (Key_table.fold (fun _ d acc -> d :: acc) t.fired []) in
+  let keys, width = flatten (Array.map (fun d -> d.d_key) ledger) in
   Array.iteri
     (fun n i ->
       let d = ledger.(i) in
@@ -603,9 +618,9 @@ let image t =
       Buffer.add_string b ",[";
       add_key b keys ~width i ~from:1;
       Buffer.add_string b "],[";
-      add_facts b st d.d_body;
+      add_rows b d.d_body;
       Buffer.add_string b "],[";
-      add_facts b st d.d_outs;
+      add_rows b d.d_outs;
       Buffer.add_string b "]]")
     (sort_keyed keys ~width (Array.length ledger));
   Buffer.add_string b "]}";
@@ -671,30 +686,33 @@ let of_image sigma s =
   in
   let idx = Engine.Index.create () in
   let st = Engine.Index.symtab idx in
-  let sym id =
-    if id < 0 || id >= Engine.Symtab.size st then fail "unknown symbol id";
-    Engine.Symtab.extern st id
-  in
-  (* the rest of a row [pid,c1,…,cn], its pid already read *)
-  let fact_of pid =
+  let sym id = if id < 0 || id >= Engine.Symtab.size st then fail "unknown symbol id" in
+  (* the rest of a row [pid,c1,…,cn], its pid already read, as a fact
+     key; cells gather in [cells], which grows *)
+  let cells = ref (Array.make 16 0) in
+  let key_of pid =
     if pid < 0 || pid >= Engine.Symtab.pred_count st then
       fail "unknown predicate id";
-    let rec args acc =
-      if peek () = ',' then begin
-        incr pos;
-        let c = sym (int ()) in
-        args (c :: acc)
-      end
-      else begin
-        expect ']';
-        List.rev acc
-      end
-    in
-    Fact.make (Engine.Symtab.extern_pred st pid) (args [])
+    !cells.(0) <- pid;
+    let n = ref 1 in
+    while peek () = ',' do
+      incr pos;
+      let c = int () in
+      sym c;
+      if !n = Array.length !cells then begin
+        let a = Array.make (2 * !n) 0 in
+        Array.blit !cells 0 a 0 !n;
+        cells := a
+      end;
+      !cells.(!n) <- c;
+      incr n
+    done;
+    expect ']';
+    Array.sub !cells 0 !n
   in
   let row () =
     expect '[';
-    fact_of (int ())
+    key_of (int ())
   in
   let rows () =
     let acc = ref [] in
@@ -756,15 +774,13 @@ let of_image sigma s =
         let pid = int () in
         expect ',';
         let level = int () in
-        let f = fact_of pid in
-        if not (Engine.Index.insert ~level f idx) then fail "duplicate fact");
+        let key = key_of pid in
+        if not (Engine.Index.insert_key idx key ~level) then fail "duplicate fact");
     next_field "base";
-    let base = Hashtbl.create 1024 in
-    items (fun () -> Hashtbl.replace base (row ()) ());
+    let base = Key_table.create 1024 in
+    items (fun () -> Key_table.replace base (row ()) ());
     next_field "ledger";
-    let derivs = Hashtbl.create 1024
-    and uses = Hashtbl.create 1024
-    and fired = Engine.Index.Key_table.create 1024 in
+    let facts = Key_table.create 1024 and fired = Key_table.create 1024 in
     items (fun () ->
         expect '[';
         let rule = int () in
@@ -772,20 +788,16 @@ let of_image sigma s =
         let key = ref [] in
         items (fun () ->
             let id = int () in
-            if id >= 0 then ignore (sym id);
+            if id >= 0 then sym id;
             key := id :: !key);
         expect ',';
         let body = rows () in
         expect ',';
         let outs = rows () in
         expect ']';
-        let d =
+        file ~facts ~fired
           { d_key = Array.of_list (rule :: List.rev !key); d_body = body;
-            d_outs = outs; d_live = true }
-        in
-        Engine.Index.Key_table.replace fired d.d_key d;
-        List.iter (fun f -> push uses f d) body;
-        List.iter (fun f -> push derivs f d) outs);
+            d_outs = outs; d_live = true });
     expect '}';
     ignore (peek ());
     if !pos < n then fail "trailing bytes";
@@ -807,8 +819,7 @@ let of_image sigma s =
         Obs.Metrics.add c (saved - Obs.Metrics.value c))
       names;
     Ok
-      (assemble sigma ~idx ~base ~derivs ~uses ~fired ~level
-         ~sat:true)
+      (assemble sigma ~idx ~base ~facts ~fired ~level ~sat:true)
   with Bad_image msg -> Error msg
 
 let report ?(name = "incr") ?span t =

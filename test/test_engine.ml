@@ -333,19 +333,33 @@ let test_delta_restriction () =
   check_int "delta of another predicate: no hom" 0 (homs [ fact "S" [ "a"; "b" ] ])
 
 let test_continue_unstored_delta () =
-  (* [continue]'s delta must already be stored: a fact that is not is
-     refused, and refusing it interns none of its symbols *)
-  let idx = Engine.Index.of_instance (Instance.of_facts [ fact "A" [ "a" ] ]) in
+  (* [continue]'s delta must be keys of stored facts: a key the store
+     does not hold is refused — one naming a symbol id never assigned,
+     and one spelling an unstored fact over known symbols — and refusing
+     it interns no symbol and leaves the store as it was *)
+  let idx =
+    Engine.Index.of_instance (Instance.of_facts [ fact "A" [ "a" ]; fact "C" [ "b" ] ])
+  in
+  let st = Engine.Index.symtab idx in
   let rules =
     [ { Engine.Saturate.body = [ atom "A" [ v "x" ] ]; head = [ atom "B" [ v "x" ] ] } ]
   in
-  let syms = Engine.Symtab.size (Engine.Index.symtab idx) in
-  check "unstored delta fact refused" true
-    (match Engine.Saturate.continue rules ~index:idx ~level:0 [ fact "A" [ "zz" ] ] with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  check_int "no symbol interned" syms (Engine.Symtab.size (Engine.Index.symtab idx));
-  check_int "store unchanged" 1 (Engine.Index.size idx)
+  let syms = Engine.Symtab.size st in
+  let pid_a = Engine.Symtab.find_pred_int st "A" in
+  let cid_b = Engine.Symtab.find_int st (Term.Named "b") in
+  List.iter
+    (fun (name, key) ->
+      check name true
+        (match Engine.Saturate.continue rules ~index:idx ~level:0 [ key ] with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("unknown symbol id refused", [| pid_a; syms |]);
+      ("unstored fact A(b) refused", [| pid_a; cid_b |]);
+    ];
+  check_int "no symbol interned" syms (Engine.Symtab.size st);
+  check_int "store unchanged" 2 (Engine.Index.size idx);
+  check "A(b) still absent" false (Engine.Index.mem (fact "A" [ "b" ]) idx)
 
 let test_stats_reported () =
   let sigma =
