@@ -28,15 +28,15 @@ let time_once f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* the middle value (the upper one of an even count) *)
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
+
 (* median of [repeat] runs, in seconds *)
 let measure ?(repeat = 3) f =
-  let times =
-    List.init repeat (fun _ ->
-        let _, t = time_once f in
-        t)
-    |> List.sort compare
-  in
-  List.nth times (repeat / 2)
+  median
+    (List.init repeat (fun _ ->
+         let _, t = time_once f in
+         t))
 
 (* [f ()] with the minor-heap words it allocated *)
 let minor_words f =
@@ -1202,10 +1202,19 @@ let gate () =
               minor_words (fun () ->
                   Tgds.Chase.run ~engine:`Indexed ~max_level sigma db)
             in
-            let t =
-              measure ~repeat:3 (fun () ->
-                  ignore (Tgds.Chase.run ~engine:`Indexed ~max_level sigma db))
+            (* three timed runs: the median total, and each pass's
+               median over the same runs — one descheduled pass must
+               not decide a sub-millisecond level's check *)
+            let runs =
+              List.init 3 (fun _ ->
+                  let r, t =
+                    time_once (fun () ->
+                        Tgds.Chase.run ~engine:`Indexed ~max_level sigma db)
+                  in
+                  let er = Option.get (Tgds.Chase.engine_result r) in
+                  (t, List.map Obs.Span.elapsed (Obs.Span.children er.Engine.Saturate.span)))
             in
+            let t = median (List.map fst runs) in
             against name t base "indexed_s";
             (* work counters are machine-independent: the chase must fire
                exactly the baseline's triggers and derive exactly its
@@ -1244,10 +1253,10 @@ let gate () =
             (* per-level pass times, where the baseline recorded them *)
             match Obs.Json.member "level_s" base with
             | Some (Obs.Json.List base_levels) ->
-                let er = Option.get (Tgds.Chase.engine_result r) in
-                let level_s =
-                  List.map Obs.Span.elapsed
-                    (Obs.Span.children er.Engine.Saturate.span)
+                let level_s i =
+                  match List.filter_map (fun (_, ls) -> List.nth_opt ls i) runs with
+                  | [] -> None
+                  | ls -> Some (median ls)
                 in
                 List.iteri
                   (fun i b ->
@@ -1256,7 +1265,7 @@ let gate () =
                         | Obs.Json.Float f -> Some f
                         | Obs.Json.Int n -> Some (float_of_int n)
                         | _ -> None),
-                        List.nth_opt level_s i )
+                        level_s i )
                     with
                     | Some base_l, Some l ->
                         let limit = Float.max (base_l *. threshold) floor_s in

@@ -622,6 +622,29 @@ let test_crc32 () =
   check "rejects short hex" true (Resil.Crc32.of_hex "abc" = None);
   check "rejects non-hex" true (Resil.Crc32.of_hex "zzzzzzzz" = None)
 
+(* The bytewise table-driven CRC-32, kept here as the reference the
+   sliced implementation must reproduce. *)
+let crc32_bytewise s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
+    s;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+(* lengths 0–67 cover every tail length after the four-byte steps *)
+let prop_crc32_matches_bytewise =
+  QCheck.Test.make ~name:"crc32 ≡ bytewise reference" ~count:500
+    QCheck.(string_of_size (Gen.int_range 0 67))
+    (fun s -> Resil.Crc32.string s = crc32_bytewise s)
+
 (* Σ terminates: A(x) → B(x); B(x) → ∃y S(x,y). Inserts/deletes of A
    facts cascade through both rules, inventing one null per chain. *)
 let serve_sigma =
@@ -1068,6 +1091,7 @@ let qcheck_tests =
       prop_fault_plan_roundtrip;
       prop_parallel_byte_identical;
       prop_parallel_naive_equiv;
+      prop_crc32_matches_bytewise;
     ]
 
 let () =
