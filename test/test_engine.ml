@@ -284,6 +284,41 @@ let prop_index_roundtrip =
     (QCheck.make ~print:(Fmt.str "%a" Instance.pp) Generators.gen_db) (fun db ->
       Instance.equal db (Engine.Index.to_instance (Engine.Index.of_instance db)))
 
+(* [Index.compare_keys] must order keys exactly as [Fact.compare] orders
+   the facts they spell — the maintenance ledger's body/head rows and
+   its over-delete set are sorted with it, and the image bytes and null
+   ids follow from that order. Predicate and constant names share
+   prefixes, arities vary under one predicate, and nulls mix with named
+   constants. *)
+let gen_mixed_fact =
+  QCheck.Gen.(
+    let gc =
+      oneof
+        [
+          map (fun s -> Term.Named s) (oneofl [ ""; "a"; "ab"; "b"; "B"; "a0" ]);
+          map (fun n -> Term.Null n) (oneofl [ 1; 2; 10; 11 ]);
+        ]
+    in
+    let* p = oneofl [ "P"; "PQ"; "Q"; "p" ] and* args = list_size (int_range 0 3) gc in
+    return (Fact.make p args))
+
+let prop_compare_keys_is_fact_compare =
+  QCheck.Test.make ~name:"Index.compare_keys ≡ Fact.compare" ~count:300
+    (QCheck.make
+       ~print:(fun fs -> String.concat " " (List.map (Fmt.str "%a" Fact.pp) fs))
+       QCheck.Gen.(list_size (int_range 1 12) gen_mixed_fact))
+    (fun facts ->
+      let idx = Engine.Index.create () in
+      let keyed = List.map (fun f -> (f, Engine.Index.intern_fact idx f)) facts in
+      List.for_all
+        (fun (f, k) ->
+          List.for_all
+            (fun (g, l) ->
+              Int.compare (Engine.Index.compare_keys idx k l) 0
+              = Int.compare (Fact.compare f g) 0)
+            keyed)
+        keyed)
+
 let test_index_postings () =
   let idx =
     Engine.Index.of_instance
@@ -394,6 +429,7 @@ let qcheck_tests =
       prop_enumerate_matches_generate_and_test;
       prop_enumerate_budget_prefix;
       prop_index_roundtrip;
+      prop_compare_keys_is_fact_compare;
     ]
 
 let () =
