@@ -106,7 +106,12 @@ let compile_rule i r =
   in
   let gatom a =
     let g_args = args a in
-    { g_pred = Atom.pred a; g_pid = -1; g_args; g_cids = Array.make (Array.length g_args) (-1) }
+    {
+      g_pred = Atom.pred a;
+      g_pid = -1;
+      g_args;
+      g_cids = Array.make (Array.length g_args) (-1);
+    }
   in
   let nbody = VarSet.cardinal bv in
   {

@@ -61,7 +61,9 @@ type result = {
     the incremental-maintenance ledger records derivations with. Firings
     are reported in the deterministic sequential firing order. *)
 type firing = {
-  fire_index : Index.t;  (** the store the run fills; its {!Index.symtab} spells every key below *)
+  fire_index : Index.t;
+      (** the store the run fills; its {!Index.symtab} spells every key
+          below *)
   fire_rule : int;  (** index into the rule list *)
   fire_key : int array;
       (** the trigger's identity, interned: [[| rule index; symbol id of
@@ -70,8 +72,8 @@ type firing = {
       (** grounded body as fact keys [[| pid; cid1; …; cidn |]], in
           body-atom order *)
   fire_outs : (int array * bool) list;
-      (** grounded head fact keys, as stored; [true] = fact was new to
-          the store *)
+      (** grounded head fact keys; [true] = fact was new to the store,
+          which then keeps that very array (never mutate a key) *)
 }
 
 (** [run ?policy ?budget ?obs ?on_pass rules db] — saturate [db] under

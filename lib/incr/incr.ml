@@ -89,7 +89,7 @@ let ensure_clean t =
 
 (* ---- ledger primitives ------------------------------------------------ *)
 
-let support facts key =
+let support_of facts key =
   match Key_table.find_opt facts key with
   | Some s -> s
   | None ->
@@ -111,10 +111,19 @@ let canonical idx = function
   | ([] | [ _ ]) as l -> l
   | l -> List.sort_uniq (Engine.Index.compare_keys idx) l
 
+(* File [d] under its trigger key and on the lists of its facts. *)
 let file ~facts ~fired d =
   Key_table.replace fired d.d_key d;
-  List.iter (fun k -> let s = support facts k in s.s_uses <- d :: s.s_uses) d.d_body;
-  List.iter (fun k -> let s = support facts k in s.s_derivs <- d :: s.s_derivs) d.d_outs
+  List.iter
+    (fun k ->
+      let s = support_of facts k in
+      s.s_uses <- d :: s.s_uses)
+    d.d_body;
+  List.iter
+    (fun k ->
+      let s = support_of facts k in
+      s.s_derivs <- d :: s.s_derivs)
+    d.d_outs
 
 let record ~facts ~fired (fir : Engine.Saturate.firing) =
   let idx = fir.Engine.Saturate.fire_index in
@@ -203,6 +212,13 @@ let propagate ?obs t delta =
 
 let fact_attr f = Obs.Json.String (Fmt.str "%a" Fact.pp f)
 
+(* [f]'s key when [f] is a base fact. Never interns: a fact with a
+   symbol the store has not seen is not a base fact. *)
+let base_key t f =
+  match Engine.Index.find_key t.idx f with
+  | Some key when Key_table.mem t.base key -> Some key
+  | _ -> None
+
 let insert ?obs t f =
   ensure_saturated t;
   ensure_clean t;
@@ -211,10 +227,8 @@ let insert ?obs t f =
   Obs.Probe.hit "incr.insert";
   let span = Option.map (fun p -> Obs.Span.enter p "insert") obs in
   Option.iter (fun s -> Obs.Span.set s "fact" (fact_attr f)) span;
-  let found = Engine.Index.find_key t.idx f in
   let eff =
-    if match found with Some key -> Key_table.mem t.base key | None -> false
-    then begin
+    if Option.is_some (base_key t f) then begin
       Obs.Metrics.incr t.c_noops;
       { e_op = Insert f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
         e_rederived = 0; e_deleted = 0 }
@@ -222,11 +236,9 @@ let insert ?obs t f =
     else begin
       Obs.Metrics.incr t.c_inserts;
       t.dirty <- true;
-      (* a fact with a symbol never seen interns it here, predicate
-         first, as the fact-based insert did *)
-      let key =
-        match found with Some key -> key | None -> Engine.Index.intern_fact t.idx f
-      in
+      (* a symbol never seen is interned here, predicate first — as
+         filing the fact would intern it *)
+      let key = Engine.Index.intern_fact t.idx f in
       Key_table.replace t.base key ();
       let repaired =
         if Engine.Index.mem_key t.idx key then 0
@@ -274,72 +286,72 @@ let delete ?obs t f =
   let span = Option.map (fun p -> Obs.Span.enter p "delete") obs in
   Option.iter (fun s -> Obs.Span.set s "fact" (fact_attr f)) span;
   let eff =
-    match Engine.Index.find_key t.idx f with
-    | Some key when Key_table.mem t.base key ->
-      Obs.Metrics.incr t.c_deletes;
-      t.dirty <- true;
-      Key_table.remove t.base key;
-      (* Phase 1: over-delete. Retract [f] and, transitively, every fact
-         produced by a derivation that consumed a retracted fact. The
-         retracted set is order-independent (a closure), so the phases
-         below are deterministic after sorting. *)
-      let over = ref [] in
-      let stack = ref [ key ] in
-      while !stack <> [] do
-        let g = List.hd !stack in
-        stack := List.tl !stack;
-        if Engine.Index.remove_key t.idx g then begin
-          over := g :: !over;
-          match Key_table.find_opt t.facts g with
-          | None -> ()
-          | Some s ->
-              List.iter
-                (fun d ->
-                  if d.d_live then begin
-                    kill t d;
-                    List.iter (fun o -> stack := o :: !stack) d.d_outs
-                  end)
-                s.s_uses;
-              s.s_uses <- []
-        end
-      done;
-      let over = List.sort (Engine.Index.compare_keys t.idx) !over in
-      let overdeleted = List.length over in
-      (* Phase 2: re-derive. A retracted fact comes straight back when it
-         is still base, or still carries a live derivation (one whose
-         body never touched the retracted set). *)
-      let red =
-        List.filter
-          (fun g -> Key_table.mem t.base g || live_derivs t.facts g <> [])
-          over
-      in
-      List.iter
-        (fun g -> ignore (Engine.Index.insert_key t.idx g ~level:(relevel t g)))
-        red;
-      (* Ledger entries of facts that stayed out hold only dead records. *)
-      List.iter
-        (fun g -> if not (Engine.Index.mem_key t.idx g) then Key_table.remove t.facts g)
-        over;
-      (* Phase 3: propagate. The re-inserted facts are the delta; the
-         invalidated triggers whose bodies survived refire here (and may
-         resurrect more of the retracted set, with fresh nulls where the
-         original derivation passed through an existential). *)
-      let repaired = propagate ?obs:span t red in
-      let deleted =
-        List.length (List.filter (fun g -> not (Engine.Index.mem_key t.idx g)) over)
-      in
-      Obs.Metrics.add t.c_overdeleted overdeleted;
-      Obs.Metrics.add t.c_rederived (List.length red);
-      Obs.Metrics.add t.c_repaired repaired;
-      Obs.Metrics.add t.c_deleted deleted;
-      t.dirty <- false;
-      { e_op = Delete f; e_noop = false; e_repaired = repaired;
-        e_overdeleted = overdeleted; e_rederived = List.length red;
-        e_deleted = deleted }
-    | _ ->
-      Obs.Metrics.incr t.c_noops;
-      { e_op = Delete f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
-        e_rederived = 0; e_deleted = 0 }
+    match base_key t f with
+    | None ->
+        Obs.Metrics.incr t.c_noops;
+        { e_op = Delete f; e_noop = true; e_repaired = 0; e_overdeleted = 0;
+          e_rederived = 0; e_deleted = 0 }
+    | Some key ->
+        Obs.Metrics.incr t.c_deletes;
+        t.dirty <- true;
+        Key_table.remove t.base key;
+        (* Phase 1: over-delete. Retract [f] and, transitively, every fact
+           produced by a derivation that consumed a retracted fact. The
+           retracted set is order-independent (a closure), so the phases
+           below are deterministic after sorting. *)
+        let over = ref [] in
+        let stack = ref [ key ] in
+        while !stack <> [] do
+          let g = List.hd !stack in
+          stack := List.tl !stack;
+          if Engine.Index.remove_key t.idx g then begin
+            over := g :: !over;
+            match Key_table.find_opt t.facts g with
+            | None -> ()
+            | Some s ->
+                List.iter
+                  (fun d ->
+                    if d.d_live then begin
+                      kill t d;
+                      List.iter (fun o -> stack := o :: !stack) d.d_outs
+                    end)
+                  s.s_uses;
+                s.s_uses <- []
+          end
+        done;
+        let over = List.sort (Engine.Index.compare_keys t.idx) !over in
+        let overdeleted = List.length over in
+        (* Phase 2: re-derive. A retracted fact comes straight back when it
+           is still base, or still carries a live derivation (one whose
+           body never touched the retracted set). *)
+        let red =
+          List.filter
+            (fun g -> Key_table.mem t.base g || live_derivs t.facts g <> [])
+            over
+        in
+        List.iter
+          (fun g -> ignore (Engine.Index.insert_key t.idx g ~level:(relevel t g)))
+          red;
+        (* Ledger entries of facts that stayed out hold only dead records. *)
+        List.iter
+          (fun g -> if not (Engine.Index.mem_key t.idx g) then Key_table.remove t.facts g)
+          over;
+        (* Phase 3: propagate. The re-inserted facts are the delta; the
+           invalidated triggers whose bodies survived refire here (and may
+           resurrect more of the retracted set, with fresh nulls where the
+           original derivation passed through an existential). *)
+        let repaired = propagate ?obs:span t red in
+        let deleted =
+          List.length (List.filter (fun g -> not (Engine.Index.mem_key t.idx g)) over)
+        in
+        Obs.Metrics.add t.c_overdeleted overdeleted;
+        Obs.Metrics.add t.c_rederived (List.length red);
+        Obs.Metrics.add t.c_repaired repaired;
+        Obs.Metrics.add t.c_deleted deleted;
+        t.dirty <- false;
+        { e_op = Delete f; e_noop = false; e_repaired = repaired;
+          e_overdeleted = overdeleted; e_rederived = List.length red;
+          e_deleted = deleted }
   in
   Option.iter
     (fun s ->
@@ -371,6 +383,7 @@ let support_count t f =
   match Engine.Index.find_key t.idx f with
   | None -> 0
   | Some key -> List.length (live_derivs t.facts key)
+
 let metrics t = Engine.Index.metrics t.idx
 
 (* ---- checkpointing ---------------------------------------------------- *)
@@ -461,7 +474,7 @@ let of_checkpoint ?engine ?obs sigma (s : Tgds.Chase.snapshot) =
    [facts] in order reproduces (a) exactly (row handles and free-list
    state differ but are not observable). Every live derivation sits in
    [fired] (a killed record leaves [fired] at death), so folding [fired]
-   captures (d) entirely. Ledger list order inside [derivs]/[uses] is
+   captures (d) entirely. Ledger list order inside [s_derivs]/[s_uses] is
    not observable: every reader either folds associatively (relevel,
    support_count) or computes an order-independent closure
    (over-delete).
@@ -533,7 +546,9 @@ let flatten (rows : int array array) =
    (or [pad]/[-1]), so a pass costs the rows plus the id range, where a
    comparison sort would cost ~15 row comparisons per row. *)
 let sort_keyed (keys : int array) ~width n =
-  let top = Array.fold_left max pad keys in
+  let top = ref pad in
+  Array.iter (fun v -> if v > !top then top := v) keys;
+  let top = !top in
   let count = Array.make (top - pad + 2) 0 in
   let perm = ref (Array.init n Fun.id) and next = ref (Array.make n 0) in
   for col = width - 1 downto 0 do
@@ -710,7 +725,9 @@ let of_image sigma s =
   in
   let idx = Engine.Index.create () in
   let st = Engine.Index.symtab idx in
-  let sym id = if id < 0 || id >= Engine.Symtab.size st then fail "unknown symbol id" in
+  let check_sym id =
+    if id < 0 || id >= Engine.Symtab.size st then fail "unknown symbol id"
+  in
   (* the rest of a row [pid,c1,…,cn], its pid already read, as a fact
      key; cells gather in [cells], which grows *)
   let cells = ref (Array.make 16 0) in
@@ -722,7 +739,7 @@ let of_image sigma s =
     while peek () = ',' do
       incr pos;
       let c = int () in
-      sym c;
+      check_sym c;
       if !n = Array.length !cells then begin
         let a = Array.make (2 * !n) 0 in
         Array.blit !cells 0 a 0 !n;
@@ -802,11 +819,11 @@ let of_image sigma s =
         if not (Engine.Index.insert_key idx key ~level) then fail "duplicate fact");
     next_field "base";
     (* every table below holds at most about one entry per stored fact *)
-    let n = Engine.Index.size idx in
-    let base = Key_table.create n in
+    let stored = Engine.Index.size idx in
+    let base = Key_table.create stored in
     items (fun () -> Key_table.replace base (row ()) ());
     next_field "ledger";
-    let facts = Key_table.create n and fired = Key_table.create n in
+    let facts = Key_table.create stored and fired = Key_table.create stored in
     items (fun () ->
         expect '[';
         let rule = int () in
@@ -814,7 +831,7 @@ let of_image sigma s =
         let key = ref [] in
         items (fun () ->
             let id = int () in
-            if id >= 0 then sym id;
+            if id >= 0 then check_sym id;
             key := id :: !key);
         expect ',';
         let body = rows () in
@@ -844,8 +861,7 @@ let of_image sigma s =
         let c = Obs.Metrics.counter m name in
         Obs.Metrics.add c (saved - Obs.Metrics.value c))
       names;
-    Ok
-      (assemble sigma ~idx ~base ~facts ~fired ~level ~sat:true)
+    Ok (assemble sigma ~idx ~base ~facts ~fired ~level ~sat:true)
   with Bad_image msg -> Error msg
 
 let report ?(name = "incr") ?span t =

@@ -834,6 +834,33 @@ let test_image_refuses_v2 () =
           check "diagnostic says the image is unframed" true
             (contains_sub msg "unframed image"))
 
+(* [of_image] checks every id a row names against the symbol and
+   predicate tables the image itself lists, and refuses bytes after the
+   image's object. *)
+let test_image_refuses_malformed () =
+  Term.reset_nulls ();
+  let im = Incr.image (Incr.create serve_sigma serve_db) in
+  let base = {|"base":[[0,0],[0,1]]|} in
+  check "fixture image holds the expected base section" true (contains_sub im base);
+  let replace_base by =
+    let lb = String.length base in
+    let rec find i = if String.sub im i lb = base then i else find (i + 1) in
+    let i = find 0 in
+    String.sub im 0 i ^ by ^ String.sub im (i + lb) (String.length im - i - lb)
+  in
+  List.iter
+    (fun (name, bytes, diagnostic) ->
+      match Incr.of_image serve_sigma bytes with
+      | Ok _ -> Alcotest.failf "%s: decoded" name
+      | Error msg -> check (name ^ ": " ^ msg) true (contains_sub msg diagnostic))
+    [
+      ("trailing bytes", im ^ "x", "trailing bytes");
+      ("symbol id past the table", replace_base {|"base":[[0,0],[0,4]]|}, "unknown symbol id");
+      ("negative symbol id", replace_base {|"base":[[0,0],[0,-1]]|}, "unknown symbol id");
+      ("predicate id past the table", replace_base {|"base":[[0,0],[3,1]]|}, "unknown predicate id");
+    ];
+  check "the untouched image decodes" true (Result.is_ok (Incr.of_image serve_sigma im))
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -1144,6 +1171,8 @@ let () =
             test_wal_image_codec_roundtrip;
           Alcotest.test_case "version-2 image refused" `Quick
             test_image_refuses_v2;
+          Alcotest.test_case "malformed image refused" `Quick
+            test_image_refuses_malformed;
           Alcotest.test_case "corrupt image refused or fallen past" `Quick
             test_wal_refuses_corrupt_image;
           Alcotest.test_case "rotation allocation envelope" `Quick
