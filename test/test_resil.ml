@@ -932,10 +932,12 @@ let test_wal_refuses_corrupt_image () =
    [Wal.rotate] — on a fixed lubm store, in minor words per stored fact.
    The image is encoded straight from the store into one buffer (a major
    allocation, not counted here), so what remains is the encoder's
-   per-row bookkeeping: 24.2 words/fact measured on lubm-20 (OCaml
-   5.1.1), against ~416 when the image went through a fact list and a
-   JSON tree. The bound leaves 25% headroom; minor allocation is
-   deterministic for a fixed store, so a regression fails every run. *)
+   per-row bookkeeping: 4.51 words/fact measured on lubm-20 (OCaml
+   5.1.1) with base and ledger rows written from int keys, against 9.62
+   when they were spelled through [Fact.t] symbol lookups and ~416 when
+   the image went through a fact list and a JSON tree. The bound leaves
+   25% headroom; minor allocation is deterministic for a fixed store, so
+   a regression fails every run. *)
 let test_rotation_allocation_envelope () =
   Term.reset_nulls ();
   let sigma, db = Guarded_core.Workload.lubm ~universities:20 () in
@@ -948,8 +950,8 @@ let test_rotation_allocation_envelope () =
       Resil.Wal.close w;
       check_int "fixed store" 3080 (Incr.size store);
       let per_fact = words /. float (Incr.size store) in
-      if per_fact > 30. then
-        Alcotest.failf "rotation allocates %.1f minor words/fact (bound 30)"
+      if per_fact > 5.64 then
+        Alcotest.failf "rotation allocates %.2f minor words/fact (bound 5.64)"
           per_fact)
 
 (* ------------------------------------------------------------------ *)
